@@ -29,6 +29,17 @@ the relational side of the translation).  Derived forms::
     F        ==  ~T                  a user atom 'top' collides harmlessly)
     Op^ a    ==  ~Op ~a             for Op in E, S, A, K
 
+Nodes are hash-consed: building a node with the type and fields of a live
+node returns that node, so a formula is a DAG in which each distinct
+subformula exists once, `==` is identity and hashing is O(1).  The intern
+table holds nodes weakly; a node lives as long as a caller or a parent
+holds it.  subformulas(f) is the one traversal: an explicit-stack loop that
+yields each distinct node of f once, children before parents and left
+before right.  Every other walk (the renderer, the structural helpers, the
+translations, and the evaluators and proof checks built on this module) is
+a loop over it that fills a dict keyed by node, and the parser works with
+explicit operator stacks, so no function recurses on a formula's depth.
+
 render() inverts the sugar for T, F, '|', '->' and '<->' but never for the
 duals, and prints the minimal spacing/parenthesisation used throughout the
 docs; parse(render(f)) == f for every core tree f.
@@ -36,70 +47,148 @@ docs; parse(render(f)) == f for every core tree f.
 
 from __future__ import annotations
 
+import functools
 import re
-from dataclasses import dataclass
+import threading
+import weakref
+from _weakref import _remove_dead_weakref
+from typing import NamedTuple
+
+# (node type, *fields) -> weak reference to the live node with those fields
+_NODES: dict[tuple, weakref.ref] = {}
+_NODES_LOCK = threading.Lock()
+
+
+def _forget(key: tuple, ref: weakref.ref) -> None:
+    """Called when a node dies: drop its entry unless a new node took the key.
+
+    _remove_dead_weakref deletes the entry only while it is a dead
+    reference, in one step, so it needs no lock.
+    """
+    _remove_dead_weakref(_NODES, key)
 
 
 class Formula:
-    """Base class of the seven core syntax-tree node types."""
+    """Base class of the syntax-tree node types.
 
-    __slots__ = ()
+    A node type lists its fields in __slots__ and is built from them
+    positionally.  `children` is the tuple of fields that are subformulas:
+    all of them, except for leaves (`_leaf`), whose one field is a name.
+    Nodes are immutable and interned.
+    """
 
-    def __post_init__(self):
-        fields = tuple(getattr(self, name) for name in self.__dataclass_fields__)
-        object.__setattr__(self, "_hash", hash((type(self).__name__, *fields)))
+    __slots__ = ("children", "__weakref__")
+    _leaf = False
+
+    def __new__(cls, *fields):
+        key = (cls, *fields)
+        ref = _NODES.get(key)
+        node = None if ref is None else ref()
+        if node is not None:
+            return node
+        if len(fields) != len(cls.__slots__):
+            raise TypeError(
+                f"{cls.__name__} takes {len(cls.__slots__)} argument(s), got {len(fields)}"
+            )
+        with _NODES_LOCK:
+            # another thread may have built it since the lookup above
+            ref = _NODES.get(key)
+            node = None if ref is None else ref()
+            if node is None:
+                node = object.__new__(cls)
+                for name, value in zip(cls.__slots__, fields):
+                    object.__setattr__(node, name, value)
+                object.__setattr__(node, "children", () if cls._leaf else fields)
+                _NODES[key] = weakref.ref(node, functools.partial(_forget, key))
+        return node
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    def __reduce__(self):
+        # pickling and copying build the node again through the intern table
+        return type(self), tuple(getattr(self, name) for name in type(self).__slots__)
+
+    def __repr__(self) -> str:
+        text: dict[Formula, str] = {}
+        for g in subformulas(self):
+            values = [repr(g.name)] if g._leaf else [text[c] for c in g.children]
+            fields = ", ".join(f"{n}={v}" for n, v in zip(type(g).__slots__, values))
+            text[g] = f"{type(g).__name__}({fields})"
+        return text[self]
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
-    name: str
+    __slots__ = ("name",)
+    _leaf = True
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    child: Formula
+    __slots__ = ("child",)
 
 
-@dataclass(frozen=True)
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class ModalE(Formula):
-    child: Formula
+    __slots__ = ("child",)
 
 
-@dataclass(frozen=True)
 class ModalS(Formula):
-    child: Formula
+    __slots__ = ("child",)
 
 
-@dataclass(frozen=True)
 class ModalA(Formula):
-    child: Formula
+    __slots__ = ("child",)
 
 
-@dataclass(frozen=True)
 class ModalK(Formula):
-    child: Formula
-
-
-def _cached_hash(self) -> int:
-    return self._hash
-
-
-# dataclass() generates a fresh tuple-hash per class, which re-hashes the
-# whole subtree on every dict lookup; memoised evaluators do that constantly.
-# Swap in the hash computed once at construction (children are already built,
-# so each node costs O(1)).
-for _node in (Atom, Not, And, ModalE, ModalS, ModalA, ModalK):
-    _node.__hash__ = _cached_hash
+    __slots__ = ("child",)
 
 
 _MODAL_TYPES = (ModalE, ModalS, ModalA, ModalK)
 _MODAL_LETTER = {ModalE: "E", ModalS: "S", ModalA: "A", ModalK: "K"}
+
+
+def subformulas(f: Formula):
+    """Yield each distinct node of f once, children before parents and left
+    before right (the order in which a post-order walk first finishes them).
+    """
+    done: set[Formula] = set()
+    stack: list[Formula | None] = [f]
+    while stack:
+        g = stack.pop()
+        if g is None:  # the node below it has all its children done
+            g = stack.pop()
+            done.add(g)
+            yield g
+        elif g not in done:
+            stack += (g, None)
+            for c in reversed(g.children):
+                if c not in done:
+                    stack.append(c)
+
+
+def rebuild(f: Formula, rules: dict) -> Formula:
+    """Rebuild f bottom-up, once per distinct node.
+
+    A node whose type has a rule becomes rules[type](node, *new children);
+    any other node is made again from its new children (a leaf stays as it
+    is).
+    """
+    out: dict[Formula, Formula] = {}
+    for g in subformulas(f):
+        kids = [out[c] for c in g.children]
+        rule = rules.get(type(g))
+        if rule is not None:
+            out[g] = rule(g, *kids)
+        else:
+            out[g] = type(g)(*kids) if kids else g
+    return out[f]
 
 
 # --- derived connectives -------------------------------------------------
@@ -147,8 +236,7 @@ def is_atom_name(text: str) -> bool:
 _OPERATOR_LETTERS = {"E": ModalE, "S": ModalS, "A": ModalA, "K": ModalK}
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # one of ( ) ~ & | -> <-> modal const atom eof
     text: str
     pos: int
@@ -204,88 +292,81 @@ def _tokenize(text: str) -> list[_Token]:
 
 # --- parser ---------------------------------------------------------------
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.i = 0
+# infix connective -> (binding strength, constructor); higher binds tighter.
+# '&' and '|' associate to the left, '->' to the right, '<->' not at all.
+_INFIX = {"&": (4, And), "|": (3, Or), "->": (2, Imp), "<->": (1, Iff)}
+_LEFT_ASSOCIATIVE = ("&", "|")
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def parse(self) -> Formula:
-        f = self.iff()
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise FormulaSyntaxError(f"unexpected {tok.text!r} after formula", tok.pos)
-        return f
-
-    def iff(self) -> Formula:
-        left = self.imp()
-        if self.peek().kind == "<->":
-            self.next()
-            right = self.imp()
-            tok = self.peek()
-            if tok.kind == "<->":
-                raise FormulaSyntaxError(
-                    "'<->' is non-associative, parenthesise one side", tok.pos
-                )
-            return Iff(left, right)
-        return left
-
-    def imp(self) -> Formula:
-        left = self.disj()
-        if self.peek().kind == "->":
-            self.next()
-            return Imp(left, self.imp())
-        return left
-
-    def disj(self) -> Formula:
-        f = self.conj()
-        while self.peek().kind == "|":
-            self.next()
-            f = Or(f, self.conj())
-        return f
-
-    def conj(self) -> Formula:
-        f = self.unary()
-        while self.peek().kind == "&":
-            self.next()
-            f = And(f, self.unary())
-        return f
-
-    def unary(self) -> Formula:
-        tok = self.next()
+def _apply_prefixes(operands: list[Formula], pending: list[_Token]) -> None:
+    """Apply the unary operators waiting directly before the last operand."""
+    while pending and pending[-1].kind in ("~", "modal"):
+        tok = pending.pop()
+        f = operands[-1]
         if tok.kind == "~":
-            return Not(self.unary())
-        if tok.kind == "modal":
+            f = Not(f)
+        else:
             ctor = _OPERATOR_LETTERS[tok.text[0]]
-            child = self.unary()
-            if tok.text.endswith("^"):
-                return Not(ctor(Not(child)))
-            return ctor(child)
-        if tok.kind == "const":
-            return TOP if tok.text == "T" else BOT
-        if tok.kind == "atom":
-            return Atom(tok.text)
-        if tok.kind == "(":
-            f = self.iff()
-            tok = self.next()
-            if tok.kind != ")":
-                raise FormulaSyntaxError("expected ')'", tok.pos)
-            return f
-        if tok.kind == "eof":
-            raise FormulaSyntaxError("unexpected end of input", tok.pos)
-        raise FormulaSyntaxError(f"unexpected {tok.text!r}", tok.pos)
+            f = Not(ctor(Not(f))) if tok.text.endswith("^") else ctor(f)
+        operands[-1] = f
+
+
+def _reduce(operands: list[Formula], pending: list[_Token], strength: int) -> None:
+    """Apply the waiting infix connectives that bind at least this tightly."""
+    while pending and pending[-1].kind in _INFIX and _INFIX[pending[-1].kind][0] >= strength:
+        right = operands.pop()
+        operands[-1] = _INFIX[pending.pop().kind][1](operands[-1], right)
 
 
 def parse(text: str) -> Formula:
-    """Parse concrete syntax into a core tree (all sugar eliminated)."""
-    return _Parser(text).parse()
+    """Parse concrete syntax into a core tree (all sugar eliminated).
+
+    Operator precedence over explicit stacks: `operands` holds finished
+    subformulas, `pending` the operators and open parentheses not yet
+    applied.
+    """
+    operands: list[Formula] = []
+    pending: list[_Token] = []
+    open_parens = 0
+    want_operand = True
+    for tok in _tokenize(text):
+        kind = tok.kind
+        if want_operand:
+            if kind in ("~", "modal", "("):
+                open_parens += kind == "("
+                pending.append(tok)
+                continue
+            if kind == "atom":
+                operands.append(Atom(tok.text))
+            elif kind == "const":
+                operands.append(TOP if tok.text == "T" else BOT)
+            elif kind == "eof":
+                raise FormulaSyntaxError("unexpected end of input", tok.pos)
+            else:
+                raise FormulaSyntaxError(f"unexpected {tok.text!r}", tok.pos)
+            _apply_prefixes(operands, pending)
+            want_operand = False
+        elif kind in _INFIX:
+            strength = _INFIX[kind][0]
+            _reduce(operands, pending, strength + (kind not in _LEFT_ASSOCIATIVE))
+            if kind == "<->" and pending and pending[-1].kind == "<->":
+                raise FormulaSyntaxError(
+                    "'<->' is non-associative, parenthesise one side", tok.pos
+                )
+            pending.append(tok)
+            want_operand = True
+        elif kind == ")" and open_parens:
+            _reduce(operands, pending, 0)
+            pending.pop()  # the matching '('
+            open_parens -= 1
+            _apply_prefixes(operands, pending)
+        elif open_parens:
+            raise FormulaSyntaxError("expected ')'", tok.pos)
+        elif kind == "eof":
+            _reduce(operands, pending, 0)
+            return operands[0]
+        else:
+            raise FormulaSyntaxError(f"unexpected {tok.text!r} after formula", tok.pos)
 
 
 # --- renderer ---------------------------------------------------------------
@@ -326,7 +407,8 @@ def _wrap(text: str, needed: bool) -> str:
     return f"({text})" if needed else text
 
 
-def _render(f: Formula) -> tuple[str, int]:
+def _render_node(f: Formula, out: dict[Formula, tuple[str, int]]) -> tuple[str, int]:
+    """Text and precedence of f, given those of its subformulas in `out`."""
     if f == TOP:
         return "T", _P_ATOM
     if f == BOT:
@@ -336,30 +418,30 @@ def _render(f: Formula) -> tuple[str, int]:
     if isinstance(f, And):
         pair = split_iff(f)
         if pair is not None:
-            ls, lp = _render(pair[0])
-            rs, rp = _render(pair[1])
+            ls, lp = out[pair[0]]
+            rs, rp = out[pair[1]]
             return (
                 f"{_wrap(ls, lp <= _P_IFF)} <-> {_wrap(rs, rp <= _P_IFF)}",
                 _P_IFF,
             )
-        ls, lp = _render(f.left)
-        rs, rp = _render(f.right)
+        ls, lp = out[f.left]
+        rs, rp = out[f.right]
         return f"{_wrap(ls, lp < _P_AND)} & {_wrap(rs, rp <= _P_AND)}", _P_AND
     if isinstance(f, Not):
         pair = split_or(f)
         if pair is not None:
-            ls, lp = _render(pair[0])
-            rs, rp = _render(pair[1])
+            ls, lp = out[pair[0]]
+            rs, rp = out[pair[1]]
             return f"{_wrap(ls, lp < _P_OR)} | {_wrap(rs, rp <= _P_OR)}", _P_OR
         pair = split_imp(f)
         if pair is not None:
-            ls, lp = _render(pair[0])
-            rs, rp = _render(pair[1])
+            ls, lp = out[pair[0]]
+            rs, rp = out[pair[1]]
             return f"{_wrap(ls, lp <= _P_IMP)} -> {_wrap(rs, rp < _P_IMP)}", _P_IMP
-        cs, cp = _render(f.child)
+        cs, cp = out[f.child]
         return f"~{_wrap(cs, cp < _P_UNARY)}", _P_UNARY
     if isinstance(f, _MODAL_TYPES):
-        cs, cp = _render(f.child)
+        cs, cp = out[f.child]
         needed = cp < _P_UNARY or isinstance(f.child, _MODAL_TYPES)
         return f"{_MODAL_LETTER[type(f)]} {_wrap(cs, needed)}", _P_UNARY
     raise TypeError(f"not a formula node: {f!r}")
@@ -367,41 +449,24 @@ def _render(f: Formula) -> tuple[str, int]:
 
 def render(f: Formula) -> str:
     """Concrete syntax for a core tree; parse(render(f)) == f."""
-    return _render(f)[0]
+    out: dict[Formula, tuple[str, int]] = {}
+    for g in subformulas(f):
+        out[g] = _render_node(g, out)
+    return out[f][0]
 
 
 # --- structural helpers ------------------------------------------------------
 
 def atom_names(f: Formula) -> frozenset[str]:
-    if isinstance(f, Atom):
-        return frozenset((f.name,))
-    if isinstance(f, Not):
-        return atom_names(f.child)
-    if isinstance(f, And):
-        return atom_names(f.left) | atom_names(f.right)
-    return atom_names(f.child)
+    return frozenset(g.name for g in subformulas(f) if isinstance(g, Atom))
 
 
 def modal_depth(f: Formula) -> int:
-    if isinstance(f, Atom):
-        return 0
-    if isinstance(f, Not):
-        return modal_depth(f.child)
-    if isinstance(f, And):
-        return max(modal_depth(f.left), modal_depth(f.right))
-    return 1 + modal_depth(f.child)
-
-
-def subformulas(f: Formula):
-    """Yield every node of the tree, children before parents."""
-    if isinstance(f, Not):
-        yield from subformulas(f.child)
-    elif isinstance(f, And):
-        yield from subformulas(f.left)
-        yield from subformulas(f.right)
-    elif isinstance(f, _MODAL_TYPES):
-        yield from subformulas(f.child)
-    yield f
+    depth: dict[Formula, int] = {}
+    for g in subformulas(f):
+        below = max((depth[c] for c in g.children), default=0)
+        depth[g] = below + isinstance(g, _MODAL_TYPES)
+    return depth[f]
 
 
 def _operators(f: Formula) -> set[type]:
@@ -432,20 +497,15 @@ def to_knowledge_form(f: Formula) -> Formula:
     (A (f -> K f)); soundness becomes compatibility with knowledge (~K ~f).
     Together with to_s5_model this preserves truth state by state.
     """
-    if isinstance(f, Atom):
-        return f
-    if isinstance(f, Not):
-        return Not(to_knowledge_form(f.child))
-    if isinstance(f, And):
-        return And(to_knowledge_form(f.left), to_knowledge_form(f.right))
-    if isinstance(f, ModalA):
-        return ModalA(to_knowledge_form(f.child))
-    if isinstance(f, ModalE):
-        t = to_knowledge_form(f.child)
-        return ModalA(Imp(t, ModalK(t)))
-    if isinstance(f, ModalS):
-        return Not(ModalK(Not(to_knowledge_form(f.child))))
-    raise ValueError("formula already mentions K; nothing to translate")
+    if not in_expertise_language(f):
+        raise ValueError("formula already mentions K; nothing to translate")
+    return rebuild(
+        f,
+        {
+            ModalE: lambda g, t: ModalA(Imp(t, ModalK(t))),
+            ModalS: lambda g, t: Not(ModalK(Not(t))),
+        },
+    )
 
 
 def eliminate_expertise(f: Formula) -> Formula:
@@ -456,17 +516,6 @@ def eliminate_expertise(f: Formula) -> Formula:
     satisfies it.  S, A and the propositional structure are untouched, so
     the result lands in the S/A fragment.
     """
-    if isinstance(f, Atom):
-        return f
-    if isinstance(f, Not):
-        return Not(eliminate_expertise(f.child))
-    if isinstance(f, And):
-        return And(eliminate_expertise(f.left), eliminate_expertise(f.right))
-    if isinstance(f, ModalS):
-        return ModalS(eliminate_expertise(f.child))
-    if isinstance(f, ModalA):
-        return ModalA(eliminate_expertise(f.child))
-    if isinstance(f, ModalE):
-        g = eliminate_expertise(f.child)
-        return ModalA(Imp(ModalS(g), g))
-    raise ValueError("K has no expertise reading; formula must be K-free")
+    if not in_expertise_language(f):
+        raise ValueError("K has no expertise reading; formula must be K-free")
+    return rebuild(f, {ModalE: lambda g, h: ModalA(Imp(ModalS(h), h))})

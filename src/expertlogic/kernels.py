@@ -16,15 +16,15 @@ Opcodes::
     OP_A          whole space if the top is the whole space, else empty
 
 Two interchangeable implementations: a numba @njit(parallel=True) kernel
-that walks models in prange, and a vectorised numpy fallback.  Selection is
-by the EXPERTLOGIC_KERNEL environment variable (or an explicit argument);
-'numba' is the default when importable.  Both produce identical outputs,
-and the test suite pins them to the pure-Python evaluator in semantics.
+that walks models in prange, and a vectorised numpy fallback.
+validity.resolve_engine picks one: an explicit argument, then the
+EXPERTLOGIC_KERNEL environment variable, then 'numba' when importable.
+Both produce identical outputs, and the test suite pins them to the
+pure-Python evaluator in semantics.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,22 +57,11 @@ OP_E = 3
 OP_S = 4
 OP_A = 5
 
+_OPCODE = {Not: OP_NOT, And: OP_AND, ModalE: OP_E, ModalS: OP_S, ModalA: OP_A}
+
 
 def available_backends() -> tuple[str, ...]:
     return ("numba", "numpy") if HAVE_NUMBA else ("numpy",)
-
-
-def resolve_backend(requested: str | None = None) -> str:
-    """Pick a kernel backend: explicit argument, then the EXPERTLOGIC_KERNEL
-    environment variable, then numba when importable."""
-    name = requested or os.environ.get(ENGINE_ENV) or None
-    if name is None:
-        return "numba" if HAVE_NUMBA else "numpy"
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown kernel backend {name!r} (use numba or numpy)")
-    if name == "numba" and not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    return name
 
 
 @dataclass(frozen=True)
@@ -98,8 +87,15 @@ def compile_program(f: Formula, atom_order) -> Program:
     ops: list[int] = []
     args: list[int] = []
 
-    def emit(g: Formula) -> None:
-        if isinstance(g, Atom):
+    # nodes still to emit, each under the opcodes of the operators that
+    # wait for it: postfix order, children left to right before their parent
+    stack: list[Formula | int] = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, int):
+            ops.append(g)
+            args.append(0)
+        elif isinstance(g, Atom):
             if g.name in index:
                 ops.append(OP_PUSH_ATOM)
                 args.append(index[g.name])
@@ -110,18 +106,9 @@ def compile_program(f: Formula, atom_order) -> Program:
                 raise ValueError(
                     f"atom {g.name!r} is not bound to a column in {atom_order}"
                 )
-            return
-        if isinstance(g, And):
-            emit(g.left)
-            emit(g.right)
-            op = OP_AND
         else:
-            emit(g.child)
-            op = {Not: OP_NOT, ModalE: OP_E, ModalS: OP_S, ModalA: OP_A}[type(g)]
-        ops.append(op)
-        args.append(0)
-
-    emit(f)
+            stack.append(_OPCODE[type(g)])
+            stack.extend(reversed(g.children))
     depth = need = 0
     for op in ops:
         if op == OP_PUSH_ATOM:

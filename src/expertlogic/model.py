@@ -236,24 +236,12 @@ def _check_states(states: tuple[str, ...]) -> None:
         raise ModelFormatError("state names must be nonempty strings")
 
 
-@dataclass(frozen=True)
-class ExpertiseModel:
-    """Finite state space, expertise partition, and atom valuation.
+class _ModelBase:
+    """What both model kinds derive from `states` and `valuation`.
 
-    `valuation` is stored as sorted (atom, mask) pairs so models hash and
-    compare structurally; use atom_mask()/with_valuation for access.
+    Declares no dataclass fields, so each subclass keeps its own
+    constructor, equality and hashing.
     """
-
-    states: tuple[str, ...]
-    partition: Partition
-    valuation: tuple[tuple[str, Mask], ...] = field(default=())
-
-    def __post_init__(self):
-        _check_states(self.states)
-        if self.partition.universe != self.full_mask:
-            raise ModelFormatError("partition must cover exactly the state space")
-        _check_valuation(self.valuation, self.states)
-        object.__setattr__(self, "valuation", tuple(sorted(self.valuation)))
 
     @property
     def n(self) -> int:
@@ -281,12 +269,32 @@ class ExpertiseModel:
         """Extension of an atom, or None when the valuation omits it."""
         return self._valuation_dict.get(name)
 
+
+@dataclass(frozen=True)
+class ExpertiseModel(_ModelBase):
+    """Finite state space, expertise partition, and atom valuation.
+
+    `valuation` is stored as sorted (atom, mask) pairs so models hash and
+    compare structurally; use atom_mask()/with_valuation for access.
+    """
+
+    states: tuple[str, ...]
+    partition: Partition
+    valuation: tuple[tuple[str, Mask], ...] = field(default=())
+
+    def __post_init__(self):
+        _check_states(self.states)
+        if self.partition.universe != self.full_mask:
+            raise ModelFormatError("partition must cover exactly the state space")
+        _check_valuation(self.valuation, self.states)
+        object.__setattr__(self, "valuation", tuple(sorted(self.valuation)))
+
     def block_of_state(self, name: str) -> Mask:
         return self.partition.block_of(1 << self.state_index(name))
 
 
 @dataclass(frozen=True)
-class RelationalModel:
+class RelationalModel(_ModelBase):
     """State space with one accessibility relation plus the global one.
 
     succ[i] is the bitmask of states reachable from states[i].  The model is
@@ -307,31 +315,6 @@ class RelationalModel:
             raise ModelFormatError("successor sets go outside the state space")
         _check_valuation(self.valuation, self.states)
         object.__setattr__(self, "valuation", tuple(sorted(self.valuation)))
-
-    @property
-    def n(self) -> int:
-        return len(self.states)
-
-    @property
-    def full_mask(self) -> Mask:
-        return (1 << len(self.states)) - 1
-
-    @cached_property
-    def _valuation_dict(self) -> dict[str, Mask]:
-        return dict(self.valuation)
-
-    @cached_property
-    def _state_index(self) -> dict[str, int]:
-        return {s: i for i, s in enumerate(self.states)}
-
-    def state_index(self, name: str) -> int:
-        try:
-            return self._state_index[name]
-        except KeyError:
-            raise ValueError(f"unknown state {name!r}") from None
-
-    def atom_mask(self, name: str) -> Mask | None:
-        return self._valuation_dict.get(name)
 
     def pairs(self) -> list[tuple[str, str]]:
         out = []

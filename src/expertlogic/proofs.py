@@ -36,6 +36,7 @@ search, reporting any falsified instance.
 
 from __future__ import annotations
 
+import itertools
 import re
 import time
 from dataclasses import dataclass, field
@@ -49,23 +50,24 @@ from .formula import (
     Imp,
     ModalA,
     ModalE,
-    ModalK,
     ModalS,
     Not,
     in_expertise_language,
     parse,
+    rebuild,
     render,
     split_iff,
+    subformulas,
     FormulaSyntaxError,
 )
 from .validity import EnumerationSpec, Verdict, find_countermodel
 
 
-@dataclass(frozen=True)
 class Meta(Formula):
     """Schema metavariable; instantiation replaces it by a formula."""
 
-    name: str
+    __slots__ = ("name",)
+    _leaf = True
 
 
 PHI = Meta("phi")
@@ -79,20 +81,8 @@ class AxiomSchema:
 
     def metavariables(self) -> tuple[str, ...]:
         """Names in order of first occurrence in the template."""
-        seen: list[str] = []
-
-        def walk(g: Formula) -> None:
-            if isinstance(g, Meta):
-                if g.name not in seen:
-                    seen.append(g.name)
-            elif isinstance(g, And):
-                walk(g.left)
-                walk(g.right)
-            elif isinstance(g, (Not, ModalE, ModalS, ModalA, ModalK)):
-                walk(g.child)
-
-        walk(self.template)
-        return tuple(seen)
+        names = (g.name for g in subformulas(self.template) if isinstance(g, Meta))
+        return tuple(dict.fromkeys(names))
 
 
 SCHEMAS: dict[str, AxiomSchema] = {
@@ -117,19 +107,13 @@ E_DISTRIBUTION = AxiomSchema(
 
 
 def instantiate(template: Formula, subst: Mapping[str, Formula]) -> Formula:
-    if isinstance(template, Meta):
+    def replace(meta: Meta) -> Formula:
         try:
-            return subst[template.name]
+            return subst[meta.name]
         except KeyError:
-            raise ValueError(f"no substitution for metavariable {template.name}") from None
-    if isinstance(template, (Atom,)):
-        return template
-    if isinstance(template, Not):
-        return Not(instantiate(template.child, subst))
-    if isinstance(template, And):
-        return And(instantiate(template.left, subst), instantiate(template.right, subst))
-    ctor = type(template)
-    return ctor(instantiate(template.child, subst))
+            raise ValueError(f"no substitution for metavariable {meta.name}") from None
+
+    return rebuild(template, {Meta: replace})
 
 
 def match_schema(schema: AxiomSchema, f: Formula) -> dict[str, Formula] | None:
@@ -139,23 +123,18 @@ def match_schema(schema: AxiomSchema, f: Formula) -> dict[str, Formula] | None:
     the same subformula.
     """
     binding: dict[str, Formula] = {}
-
-    def walk(t: Formula, g: Formula) -> bool:
+    # (template node, formula node) pairs still to match, leftmost on top
+    stack = [(schema.template, f)]
+    while stack:
+        t, g = stack.pop()
         if isinstance(t, Meta):
-            bound = binding.get(t.name)
-            if bound is None:
-                binding[t.name] = g
-                return True
-            return bound == g
-        if type(t) is not type(g):
-            return False
-        if isinstance(t, Atom):
-            return t.name == g.name
-        if isinstance(t, And):
-            return walk(t.left, g.left) and walk(t.right, g.right)
-        return walk(t.child, g.child)
-
-    return binding if walk(schema.template, f) else None
+            if binding.setdefault(t.name, g) != g:
+                return None
+        elif type(t) is not type(g) or (isinstance(t, Atom) and t.name != g.name):
+            return None
+        else:
+            stack.extend(zip(reversed(t.children), reversed(g.children)))
+    return binding
 
 
 # --- propositional base ------------------------------------------------------
@@ -174,18 +153,13 @@ def check_taut(f: Formula) -> bool:
     table is evaluated column-wise on big-int bit vectors (bit a = row a).
     More than 20 distinct letters is refused outright.
     """
-    letters: dict[Formula, int] = {}
-
-    def collect(g: Formula) -> None:
-        if isinstance(g, Not):
-            collect(g.child)
-        elif isinstance(g, And):
-            collect(g.left)
-            collect(g.right)
-        else:
-            letters.setdefault(g, len(letters))
-
-    collect(f)
+    nodes = list(subformulas(f))
+    # the propositional skeleton: f and whatever it reaches through ~ and &
+    skeleton = {f}
+    for g in reversed(nodes):  # parents before children
+        if g in skeleton and isinstance(g, (Not, And)):
+            skeleton.update(g.children)
+    letters = [g for g in nodes if g in skeleton and not isinstance(g, (Not, And))]
     count = len(letters)
     if count > MAX_TAUT_LETTERS:
         raise TautologyLimitError(
@@ -195,29 +169,18 @@ def check_taut(f: Formula) -> bool:
         )
     rows = 1 << count
     table_full = (1 << rows) - 1
-    columns: dict[int, int] = {}
-    for idx in range(count):
+    value: dict[Formula, int] = {}
+    for idx, letter in enumerate(letters):
         half = 1 << idx
         unit = ((1 << half) - 1) << half
         repeat = table_full // ((1 << (half << 1)) - 1)
-        columns[idx] = unit * repeat
-
-    memo: dict[Formula, int] = {}
-
-    def ev(g: Formula) -> int:
-        got = memo.get(g)
-        if got is not None:
-            return got
-        if isinstance(g, Not):
-            out = table_full ^ ev(g.child)
-        elif isinstance(g, And):
-            out = ev(g.left) & ev(g.right)
-        else:
-            out = columns[letters[g]]
-        memo[g] = out
-        return out
-
-    return ev(f) == table_full
+        value[letter] = unit * repeat
+    for g in nodes:
+        if isinstance(g, Not) and g in skeleton:
+            value[g] = table_full ^ value[g.child]
+        elif isinstance(g, And) and g in skeleton:
+            value[g] = value[g.left] & value[g.right]
+    return value[f] == table_full
 
 
 # --- derivations -------------------------------------------------------------
@@ -473,18 +436,9 @@ class SweepReport:
 def schema_instances(schema: AxiomSchema, corpus):
     """(substitution, instance) pairs over the corpus, in corpus order."""
     names = schema.metavariables()
-    picks = [corpus] * len(names)
-
-    def rec(prefix):
-        depth = len(prefix)
-        if depth == len(names):
-            subst = dict(zip(names, prefix))
-            yield tuple(subst.items()), instantiate(schema.template, subst)
-            return
-        for f in picks[depth]:
-            yield from rec(prefix + (f,))
-
-    yield from rec(())
+    for picks in itertools.product(corpus, repeat=len(names)):
+        subst = dict(zip(names, picks))
+        yield tuple(subst.items()), instantiate(schema.template, subst)
 
 
 def soundness_sweep(

@@ -15,10 +15,11 @@ the block-closure of ||f|| (union of blocks meeting it), and E f asks that
 is what the search kernels use; the literal path is the authority the test
 suite and Verdict self-checks compare against.
 
-Extensions are computed bottom-up with memoisation on structurally equal
-subtrees, so each distinct subformula is evaluated once per call.  Atoms
-missing from the model's valuation evaluate as false and raise
-UnknownAtomWarning once per call.
+Extensions are computed in one pass over the formula's distinct nodes
+(formula.subformulas, children first), so each distinct subformula is
+evaluated once per call however often it recurs.  Atoms missing from the
+model's valuation evaluate as false and raise UnknownAtomWarning once per
+call.
 """
 
 from __future__ import annotations
@@ -36,9 +37,7 @@ from .formula import (
     ModalS,
     Not,
     RESERVED_TOP_ATOM,
-    atom_names,
-    in_expertise_language,
-    in_ka_fragment,
+    subformulas,
     to_knowledge_form,
 )
 from .model import (
@@ -56,12 +55,10 @@ class UnknownAtomWarning(UserWarning):
     """A formula mentions an atom absent from the model's valuation."""
 
 
-def _warn_missing_atoms(f: Formula, valuation) -> None:
+def _warn_missing_atoms(missing: set[str]) -> None:
     # 'top' enters through the T/F sugar and cancels out of both, so its
     # absence from a valuation is not worth a warning
-    missing = sorted(
-        atom_names(f) - {atom for atom, _ in valuation} - {RESERVED_TOP_ATOM}
-    )
+    missing = sorted(missing - {RESERVED_TOP_ATOM})
     if missing:
         warnings.warn(
             f"atoms not in the valuation are treated as false: {', '.join(missing)}",
@@ -70,41 +67,43 @@ def _warn_missing_atoms(f: Formula, valuation) -> None:
         )
 
 
+def _atom_extension(model, name: str, missing: set[str]) -> Mask:
+    mask = model.atom_mask(name)
+    if mask is None:
+        missing.add(name)
+        return 0
+    return mask
+
+
 def extension(model: ExpertiseModel, f: Formula, *, mode: str = "fast") -> Mask:
     """Bitmask of the states satisfying f."""
-    if not in_expertise_language(f):
-        raise ValueError("K has no truth clause on expertise models")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    _warn_missing_atoms(f, model.valuation)
 
     partition = model.partition
     full = model.full_mask
     if mode == "literal":
         family = expertise_set_from_partition(partition)
         family_set = set(family)
-    memo: dict[Formula, Mask] = {}
-
-    def ext(g: Formula) -> Mask:
-        cached = memo.get(g)
-        if cached is not None:
-            return cached
+    ext: dict[Formula, Mask] = {}
+    missing: set[str] = set()
+    for g in subformulas(f):
         if isinstance(g, Atom):
-            out = model.atom_mask(g.name) or 0
+            out = _atom_extension(model, g.name, missing)
         elif isinstance(g, Not):
-            out = full & ~ext(g.child)
+            out = full & ~ext[g.child]
         elif isinstance(g, And):
-            out = ext(g.left) & ext(g.right)
+            out = ext[g.left] & ext[g.right]
         elif isinstance(g, ModalA):
-            out = full if ext(g.child) == full else 0
+            out = full if ext[g.child] == full else 0
         elif isinstance(g, ModalE):
-            e = ext(g.child)
+            e = ext[g.child]
             if mode == "fast":
                 out = full if partition.saturate(e) == e else 0
             else:
                 out = full if e in family_set else 0
-        else:  # ModalS
-            e = ext(g.child)
+        elif isinstance(g, ModalS):
+            e = ext[g.child]
             if mode == "fast":
                 out = partition.saturate(e)
             else:
@@ -112,10 +111,11 @@ def extension(model: ExpertiseModel, f: Formula, *, mode: str = "fast") -> Mask:
                 for member in family:
                     if e & ~member == 0:
                         out &= member
-        memo[g] = out
-        return out
-
-    return ext(f)
+        else:
+            raise ValueError("K has no truth clause on expertise models")
+        ext[g] = out
+    _warn_missing_atoms(missing)
+    return ext[f]
 
 
 def holds(model: ExpertiseModel, state: str, f: Formula, *, mode: str = "fast") -> bool:
@@ -131,35 +131,30 @@ def globally_true(model: ExpertiseModel, f: Formula, *, mode: str = "fast") -> b
 
 def extension_relational(rmodel: RelationalModel, f: Formula) -> Mask:
     """Bitmask of the states satisfying a K/A-fragment formula."""
-    if not in_ka_fragment(f):
-        raise ValueError("relational models interpret only the K/A fragment")
-    _warn_missing_atoms(f, rmodel.valuation)
     full = rmodel.full_mask
     succ = rmodel.succ
-    memo: dict[Formula, Mask] = {}
-
-    def ext(g: Formula) -> Mask:
-        cached = memo.get(g)
-        if cached is not None:
-            return cached
+    ext: dict[Formula, Mask] = {}
+    missing: set[str] = set()
+    for g in subformulas(f):
         if isinstance(g, Atom):
-            out = rmodel.atom_mask(g.name) or 0
+            out = _atom_extension(rmodel, g.name, missing)
         elif isinstance(g, Not):
-            out = full & ~ext(g.child)
+            out = full & ~ext[g.child]
         elif isinstance(g, And):
-            out = ext(g.left) & ext(g.right)
+            out = ext[g.left] & ext[g.right]
         elif isinstance(g, ModalA):
-            out = full if ext(g.child) == full else 0
-        else:  # ModalK: x sees only f-states
-            e = ext(g.child)
+            out = full if ext[g.child] == full else 0
+        elif isinstance(g, ModalK):  # x sees only f-states
+            e = ext[g.child]
             out = 0
             for i in range(rmodel.n):
                 if succ[i] & ~e == 0:
                     out |= 1 << i
-        memo[g] = out
-        return out
-
-    return ext(f)
+        else:
+            raise ValueError("relational models interpret only the K/A fragment")
+        ext[g] = out
+    _warn_missing_atoms(missing)
+    return ext[f]
 
 
 def holds_relational(rmodel: RelationalModel, state: str, f: Formula) -> bool:

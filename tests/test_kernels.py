@@ -6,11 +6,12 @@ pure-Python evaluator in semantics on every model they can express.
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from expertlogic.formula import parse
 from expertlogic.kernels import (
-    ENGINE_ENV,
     HAVE_NUMBA,
+    OP_A,
     OP_AND,
     OP_E,
     OP_NOT,
@@ -19,12 +20,12 @@ from expertlogic.kernels import (
     available_backends,
     compile_program,
     eval_chunk,
-    resolve_backend,
 )
 from expertlogic.model import ExpertiseModel, Partition
 from expertlogic.semantics import extension
 
-from reference import ref_partitions
+from reference import ref_partitions, ref_postfix
+from strategies import formulas
 
 BACKENDS = available_backends()
 
@@ -174,20 +175,21 @@ class TestAgainstSemantics:
             eval_chunk(prog, sbm, vals, "fortran")
 
 
-class TestResolveBackend:
-    def test_argument_wins_over_environment(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "numba")
-        assert resolve_backend("numpy") == "numpy"
+OPCODE = {
+    "push": OP_PUSH_ATOM,
+    "Not": OP_NOT,
+    "And": OP_AND,
+    "ModalE": OP_E,
+    "ModalS": OP_S,
+    "ModalA": OP_A,
+}
 
-    def test_environment_is_honoured(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV, "numpy")
-        assert resolve_backend() == "numpy"
 
-    def test_default_prefers_numba_when_present(self, monkeypatch):
-        monkeypatch.delenv(ENGINE_ENV, raising=False)
-        expected = "numba" if HAVE_NUMBA else "numpy"
-        assert resolve_backend() == expected
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            resolve_backend("cuda")
+@given(formulas(with_k=False))
+def test_program_matches_recursive_postfix(f):
+    atoms = ("p", "q", "r")
+    prog = compile_program(f, atoms)
+    listing, need = ref_postfix(f, atoms)
+    assert prog.ops.tolist() == [OPCODE[mnemonic] for mnemonic, _ in listing]
+    assert prog.args.tolist() == [column for _, column in listing]
+    assert prog.stack_need == need

@@ -11,7 +11,7 @@ import json
 import pytest
 
 from expertlogic.formula import parse, render
-from expertlogic.kernels import HAVE_NUMBA
+from expertlogic.kernels import ENGINE_ENV, HAVE_NUMBA
 from expertlogic.model import model_to_dict
 from expertlogic.semantics import extension
 from expertlogic.validity import (
@@ -241,6 +241,14 @@ class TestSearchInputs:
         assert resolve_engine() == "python"
         monkeypatch.delenv("EXPERTLOGIC_KERNEL")
         assert resolve_engine("numpy") == "numpy"
+
+    def test_argument_wins_over_environment(self, monkeypatch):
+        monkeypatch.setenv(ENGINE_ENV, "numba")
+        assert resolve_engine("numpy") == "numpy"
+
+    def test_default_prefers_numba_when_present(self, monkeypatch):
+        monkeypatch.delenv(ENGINE_ENV, raising=False)
+        assert resolve_engine() == ("numba" if HAVE_NUMBA else "numpy")
 
 
 class TestVerdict:
