@@ -15,7 +15,8 @@ Subcommands::
 Formulas are single shell arguments in the concrete grammar; models and
 proofs come from files.  `--json` switches any subcommand to a stable JSON
 document (byte-identical across runs; wall-clock timings only with
-`--timings`).  Exit codes: 2 for any load/parse/usage error; otherwise 0/1
+`--timings`).  Exit codes: 2 for any load/parse/usage error, 3 for an
+internal fault (a search witness that fails its re-check); otherwise 0/1
 encode the answer (true/false, agrees/differs, no-countermodel/found,
 proof ok/bad step, sweep clean/violations).
 """
@@ -331,8 +332,7 @@ def _add_search_flags(p) -> None:
     p.add_argument(
         "--engine",
         choices=ENGINES,
-        help="evaluation engine (default: $EXPERTLOGIC_KERNEL, else numba "
-        "when importable, else numpy)",
+        help="evaluation engine (default: numpy; python is the slow reference)",
     )
     p.add_argument(
         "--timings",
@@ -433,11 +433,13 @@ def main(argv=None) -> int:
         DerivationFormatError,
         RelationError,
         ValueError,
-        RuntimeError,
         OSError,
     ) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except RuntimeError as e:
+        print(f"internal error: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

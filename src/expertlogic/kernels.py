@@ -1,26 +1,26 @@
-"""Batch evaluation kernels for the bounded search.
+"""Batch evaluation kernel for the bounded search.
 
-A formula is compiled once into a postfix program over int64 extension
-masks (bit i = state i).  A chunk of work is one partition, given as the
-per-state block mask `sbm`, crossed with a batch of valuations `vals`
-(row = model, column = atom).  The kernel writes the formula's extension
-in each model to `out`; the search layers on top never look inside.
+A formula is compiled once into a program over int64 extension masks
+(bit i = state i): one op per distinct subformula, in formula.subformulas
+order (children first), so a subformula that recurs is evaluated once.
+Op t writes slot t and reads its operands from earlier slots by index;
+the last slot holds the formula's extension.  A chunk of work is one
+partition, given as the per-state block mask `sbm`, crossed with a batch
+of valuations `vals` (row = model, column = atom).  eval_chunk returns the
+formula's extension in each model; the search layers on top never look
+inside.
 
-Opcodes::
+Opcodes, as (opcode, a, b) with slot[a] and slot[b] the operands::
 
-    PUSH_ATOM a   push vals[model, a]        (a == -1 pushes the empty set)
-    NOT           complement within the space
-    AND           intersect
-    OP_E          whole space if the top is a union of blocks, else empty
-    OP_S          block-closure of the top (union of blocks meeting it)
-    OP_A          whole space if the top is the whole space, else empty
+    OP_ATOM  slot = vals[model, a]   (a == -1 gives the empty set)
+    OP_NOT   complement of slot[a] within the space
+    OP_AND   slot[a] & slot[b]
+    OP_E     whole space if slot[a] is a union of blocks, else empty
+    OP_S     block-closure of slot[a] (union of blocks meeting it)
+    OP_A     whole space if slot[a] is the whole space, else empty
 
-Two interchangeable implementations: a numba @njit(parallel=True) kernel
-that walks models in prange, and a vectorised numpy fallback.
-validity.resolve_engine picks one: an explicit argument, then the
-EXPERTLOGIC_KERNEL environment variable, then 'numba' when importable.
-Both produce identical outputs, and the test suite pins them to the
-pure-Python evaluator in semantics.
+Unary ops repeat their operand in b.  The test suite pins the kernel to
+the pure-Python evaluators in semantics.
 """
 
 from __future__ import annotations
@@ -38,19 +38,10 @@ from .formula import (
     ModalS,
     Not,
     RESERVED_TOP_ATOM,
-    in_expertise_language,
+    subformulas,
 )
 
-try:
-    from numba import njit, prange
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-ENGINE_ENV = "EXPERTLOGIC_KERNEL"
-
-OP_PUSH_ATOM = 0
+OP_ATOM = 0
 OP_NOT = 1
 OP_AND = 2
 OP_E = 3
@@ -60,148 +51,63 @@ OP_A = 5
 _OPCODE = {Not: OP_NOT, And: OP_AND, ModalE: OP_E, ModalS: OP_S, ModalA: OP_A}
 
 
-def available_backends() -> tuple[str, ...]:
-    return ("numba", "numpy") if HAVE_NUMBA else ("numpy",)
-
-
 @dataclass(frozen=True)
 class Program:
-    """Postfix form of one formula, fixed to an atom order."""
+    """One formula as (opcode, a, b) ops, fixed to an atom order."""
 
-    ops: np.ndarray
-    args: np.ndarray
-    stack_need: int
+    ops: tuple[tuple[int, int, int], ...]
     atom_order: tuple[str, ...]
 
 
 def compile_program(f: Formula, atom_order) -> Program:
-    """Flatten a K-free formula to postfix over the given atom columns.
+    """One op per distinct node of a K-free formula, over the given atom
+    columns.
 
     Atoms outside `atom_order` are rejected, except the reserved 'top'
     introduced by the T/F sugar, which compiles to the constant empty set
     (its value cancels out of T and F either way).
     """
-    if not in_expertise_language(f):
-        raise ValueError("kernels evaluate only E/S/A formulas")
     index = {a: i for i, a in enumerate(atom_order)}
-    ops: list[int] = []
-    args: list[int] = []
-
-    # nodes still to emit, each under the opcodes of the operators that
-    # wait for it: postfix order, children left to right before their parent
-    stack: list[Formula | int] = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, int):
-            ops.append(g)
-            args.append(0)
-        elif isinstance(g, Atom):
+    slot: dict[Formula, int] = {}
+    ops: list[tuple[int, int, int]] = []
+    for g in subformulas(f):
+        if isinstance(g, Atom):
             if g.name in index:
-                ops.append(OP_PUSH_ATOM)
-                args.append(index[g.name])
+                column = index[g.name]
             elif g.name == RESERVED_TOP_ATOM:
-                ops.append(OP_PUSH_ATOM)
-                args.append(-1)
+                column = -1
             else:
                 raise ValueError(
                     f"atom {g.name!r} is not bound to a column in {atom_order}"
                 )
+            ops.append((OP_ATOM, column, column))
+        elif type(g) in _OPCODE:
+            ops.append((_OPCODE[type(g)], slot[g.children[0]], slot[g.children[-1]]))
         else:
-            stack.append(_OPCODE[type(g)])
-            stack.extend(reversed(g.children))
-    depth = need = 0
-    for op in ops:
-        if op == OP_PUSH_ATOM:
-            depth += 1
-            need = max(need, depth)
-        elif op == OP_AND:
-            depth -= 1
-    return Program(
-        ops=np.asarray(ops, dtype=np.int64),
-        args=np.asarray(args, dtype=np.int64),
-        stack_need=need,
-        atom_order=tuple(atom_order),
-    )
+            raise ValueError("kernels evaluate only E/S/A formulas")
+        slot[g] = len(ops) - 1
+    return Program(ops=tuple(ops), atom_order=tuple(atom_order))
 
 
-if HAVE_NUMBA:
-
-    @njit(parallel=True, cache=True)
-    def _eval_numba(ops, args, sbm, vals, full, stack_need, out):  # pragma: no cover
-        n = sbm.shape[0]
-        for m in prange(out.shape[0]):
-            stack = np.empty(stack_need, np.int64)
-            sp = 0
-            for t in range(ops.shape[0]):
-                op = ops[t]
-                if op == 0:  # PUSH_ATOM
-                    a = args[t]
-                    stack[sp] = vals[m, a] if a >= 0 else 0
-                    sp += 1
-                elif op == 1:  # NOT
-                    stack[sp - 1] = full & ~stack[sp - 1]
-                elif op == 2:  # AND
-                    stack[sp - 2] = stack[sp - 2] & stack[sp - 1]
-                    sp -= 1
-                elif op == 5:  # A
-                    stack[sp - 1] = full if stack[sp - 1] == full else 0
-                else:  # E and S share the block-closure
-                    ext = stack[sp - 1]
-                    sat = 0
-                    for i in range(n):
-                        if (ext >> i) & 1:
-                            sat |= sbm[i]
-                    if op == 4:
-                        stack[sp - 1] = sat
-                    else:
-                        stack[sp - 1] = full if sat == ext else 0
-            out[m] = stack[0]
-
-
-def _eval_numpy(ops, args, sbm, vals, full, stack_need, out):
-    count = vals.shape[0]
-    n = sbm.shape[0]
-    stack = np.empty((stack_need, count), dtype=np.int64)
-    sp = 0
-    for t in range(len(ops)):
-        op = int(ops[t])
-        if op == OP_PUSH_ATOM:
-            a = int(args[t])
-            stack[sp] = vals[:, a] if a >= 0 else 0
-            sp += 1
-        elif op == OP_NOT:
-            np.bitwise_and(full, ~stack[sp - 1], out=stack[sp - 1])
-        elif op == OP_AND:
-            np.bitwise_and(stack[sp - 2], stack[sp - 1], out=stack[sp - 2])
-            sp -= 1
-        elif op == OP_A:
-            top = stack[sp - 1]
-            stack[sp - 1] = np.where(top == full, np.int64(full), np.int64(0))
-        else:
-            ext = stack[sp - 1]
-            sat = np.zeros(count, dtype=np.int64)
-            for i in range(n):
-                sat |= ((ext >> i) & 1) * sbm[i]
-            if op == OP_S:
-                stack[sp - 1] = sat
-            else:
-                stack[sp - 1] = np.where(sat == ext, np.int64(full), np.int64(0))
-    out[:] = stack[0]
-
-
-def eval_chunk(
-    program: Program, sbm: np.ndarray, vals: np.ndarray, backend: str
-) -> np.ndarray:
+def eval_chunk(program: Program, sbm: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """Extensions of the compiled formula across one partition x batch."""
     n = sbm.shape[0]
     full = np.int64((1 << n) - 1)
-    out = np.empty(vals.shape[0], dtype=np.int64)
-    if backend == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("numba backend requested but numba is not importable")
-        _eval_numba(program.ops, program.args, sbm, vals, full, program.stack_need, out)
-    elif backend == "numpy":
-        _eval_numpy(program.ops, program.args, sbm, vals, full, program.stack_need, out)
-    else:
-        raise ValueError(f"unknown kernel backend {backend!r}")
-    return out
+    count = vals.shape[0]
+    slots: list[np.ndarray] = []
+    for op, a, b in program.ops:
+        if op == OP_ATOM:
+            ext = vals[:, a] if a >= 0 else np.zeros(count, dtype=np.int64)
+        elif op == OP_NOT:
+            ext = full & ~slots[a]
+        elif op == OP_AND:
+            ext = slots[a] & slots[b]
+        elif op == OP_A:
+            ext = np.where(slots[a] == full, full, np.int64(0))
+        else:
+            sat = np.zeros(count, dtype=np.int64)
+            for i in range(n):
+                sat |= ((slots[a] >> i) & 1) * sbm[i]
+            ext = sat if op == OP_S else np.where(sat == slots[a], full, np.int64(0))
+        slots.append(ext)
+    return slots[-1]

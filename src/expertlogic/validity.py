@@ -11,18 +11,20 @@ so the first countermodel is the same on every engine and every run:
 * valuations as a single counter: atom j's extension occupies bits
   [j*n, (j+1)*n) of the code, so the code runs through all 2^(n*k) masks.
 
-A size-n slice therefore holds exactly bell(n) * 2^(n*k) models.  Engines:
-'numba' and 'numpy' run the compiled kernels from .kernels over the same
-order; 'python' walks ExpertiseModel objects through .semantics.  Every
-witness found is re-verified with the literal-clause evaluator before the
-Verdict is built, so a kernel bug cannot produce a bogus countermodel.
+A size-n slice therefore holds exactly bell(n) * 2^(n*k) models.  Two
+engines visit that order: 'numpy' (the default) runs the compiled kernel
+from .kernels over a chunk of valuations at a time, 'python' walks
+ExpertiseModel objects through .semantics and is the reference the tests
+compare it with.  Every witness found is re-verified with the
+literal-clause evaluator before the Verdict is built, so a kernel bug
+cannot produce a bogus countermodel.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator
 
 import numpy as np
@@ -41,20 +43,16 @@ from .formula import (
 from .model import ExpertiseModel, Mask, Partition, model_to_dict
 from .semantics import extension, holds
 
-ENGINES = ("numba", "numpy", "python")
+ENGINES = ("numpy", "python")
 
 _CHUNK = 1 << 16
 
 
 def resolve_engine(requested: str | None = None) -> str:
-    """Explicit argument, then $EXPERTLOGIC_KERNEL, then numba if present."""
-    name = requested or os.environ.get(kernels.ENGINE_ENV) or None
-    if name is None:
-        return "numba" if kernels.HAVE_NUMBA else "numpy"
+    """The engine a search runs on: the one named, else numpy."""
+    name = requested or "numpy"
     if name not in ENGINES:
         raise ValueError(f"unknown engine {name!r} (use one of {', '.join(ENGINES)})")
-    if name == "numba" and not kernels.HAVE_NUMBA:
-        raise RuntimeError("numba engine requested but numba is not importable")
     return name
 
 
@@ -141,38 +139,16 @@ def _model_from_code(
     return ExpertiseModel(_state_names(n), Partition.from_blocks(blocks), valuation)
 
 
-class ModelStream:
-    """Iterator over all models with exactly spec.n_states states, in
-    enumeration order; .truncated is set when spec.limit cut it short."""
-
-    def __init__(self, spec: EnumerationSpec):
-        self.spec = spec
-        self.truncated = False
-        self._it = self._generate()
-
-    def _generate(self):
-        spec = self.spec
-        n = spec.n_states
-        emitted = 0
-        codes = 1 << (n * len(spec.atoms))
-        for rgs in rgs_partitions(n):
-            blocks = blocks_from_rgs(rgs)
-            for code in range(codes):
-                if spec.limit is not None and emitted >= spec.limit:
-                    self.truncated = True
-                    return
-                emitted += 1
-                yield _model_from_code(n, blocks, spec.atoms, code)
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        return next(self._it)
-
-
-def enumerate_models(spec: EnumerationSpec) -> ModelStream:
-    return ModelStream(spec)
+def enumerate_models(spec: EnumerationSpec) -> Iterator[ExpertiseModel]:
+    """All models with exactly spec.n_states states, in enumeration order;
+    at most spec.limit of them."""
+    n = spec.n_states
+    models = (
+        _model_from_code(n, blocks, spec.atoms, code)
+        for blocks in map(blocks_from_rgs, rgs_partitions(n))
+        for code in range(1 << (n * len(spec.atoms)))
+    )
+    yield from islice(models, spec.limit)
 
 
 @dataclass(frozen=True)
@@ -275,9 +251,9 @@ def find_countermodel(
     """First model in enumeration order falsifying the formula, if any.
 
     The witness state is the least state of that model where the formula
-    fails.  Kernel engines evaluate valuations in parallel within a chunk,
-    then reduce to the least falsifying index, so the result is identical
-    across engines, chunk sizes and thread counts.
+    fails.  The numpy engine evaluates a chunk of valuations at once, then
+    reduces to the least falsifying index, so the result is identical
+    across engines and chunk sizes.
     """
     _check_search_inputs(formula, spec)
     engine = resolve_engine(engine)
@@ -285,7 +261,7 @@ def find_countermodel(
     if engine == "python":
         outcome = _search_python(formula, spec)
     else:
-        outcome = _search_kernel(formula, spec, engine)
+        outcome = _search_kernel(formula, spec)
     checked, truncated, hit = outcome
     stats = SearchStats(
         models_checked=checked,
@@ -315,7 +291,7 @@ def _search_python(formula, spec):
     return checked, False, None
 
 
-def _search_kernel(formula, spec, backend):
+def _search_kernel(formula, spec):
     program = kernels.compile_program(formula, spec.atoms)
     k = len(spec.atoms)
     checked = 0
@@ -335,7 +311,7 @@ def _search_kernel(formula, spec, backend):
                         return checked, True, None
                 codes = np.arange(start, stop, dtype=np.int64)
                 vals = (codes[:, None] >> shifts[None, :]) & full
-                out = kernels.eval_chunk(program, sbm, vals, backend)
+                out = kernels.eval_chunk(program, sbm, vals)
                 bad = np.nonzero(out != full)[0]
                 if bad.size:
                     idx = int(bad[0])

@@ -141,28 +141,3 @@ def ref_tautology(f):
     register(f)
     return all(ev(f, row) for row in range(1 << len(letters)))
 
-
-def ref_postfix(f, atom_order):
-    """Postfix listing of a K-free tree by plain recursion.
-
-    Returns ([(mnemonic, column)], stack need): 'push' carries the atom's
-    column (-1 for the reserved atom 'top'), every operator carries 0 and
-    is named by its node type.  The stack need follows the Ershov-style
-    count: an And needs its left side's need or one more than its right
-    side's, whichever is larger.
-    """
-    listing = []
-
-    def emit(g):
-        if isinstance(g, Atom):
-            listing.append(("push", atom_order.index(g.name) if g.name in atom_order else -1))
-            return 1
-        if isinstance(g, And):
-            need = max(emit(g.left), 1 + emit(g.right))
-        else:
-            need = emit(g.child)
-        listing.append((type(g).__name__, 0))
-        return need
-
-    need = emit(f)
-    return listing, need

@@ -3,7 +3,6 @@ budget pinned, and each prints one PASS/FAIL/SKIP line in the terminal
 summary (see conftest.py).  The labels are the docstring first lines."""
 
 import json
-import os
 import subprocess
 import sys
 import time
@@ -11,7 +10,6 @@ import time
 import pytest
 
 from expertlogic.cli import main
-from expertlogic.kernels import available_backends
 from expertlogic.formula import (
     And,
     BOT,
@@ -39,6 +37,7 @@ from expertlogic.model import (
 from expertlogic.proofs import E_DISTRIBUTION, SCHEMAS, check_derivation, load_derivation
 from expertlogic.semantics import extension, extension_relational, globally_true, holds
 from expertlogic.validity import (
+    ENGINES,
     EnumerationSpec,
     blocks_from_rgs,
     corpus_formulas,
@@ -240,7 +239,7 @@ def test_dual_path_soundness_agreement():
     assert mismatches == 0
 
 
-def _countermodel_json(engine, env=None):
+def _countermodel_json(engine):
     """Run the distribution countermodel search through the CLI, as a user would."""
     argv = [
         sys.executable,
@@ -254,7 +253,7 @@ def _countermodel_json(engine, env=None):
         engine,
         "--json",
     ]
-    return subprocess.run(argv, capture_output=True, check=False, env=env)
+    return subprocess.run(argv, capture_output=True, check=False)
 
 
 def _assert_pinned_witness(stdout):
@@ -268,9 +267,9 @@ def _assert_pinned_witness(stdout):
 
 
 def test_deterministic_parallel_witness():
-    """parallel witness search emits byte-identical JSON reports"""
+    """witness search emits byte-identical JSON reports"""
     reports = {}
-    for engine in available_backends():
+    for engine in ENGINES:
         first = _countermodel_json(engine)
         second = _countermodel_json(engine)
         assert first.returncode == second.returncode == 1, (engine, first.stderr)
@@ -279,16 +278,3 @@ def test_deterministic_parallel_witness():
         assert doc.pop("engine") == engine
         reports[engine] = doc
     assert all(doc == reports["numpy"] for doc in reports.values()), reports
-
-
-def test_witness_independent_of_thread_count():
-    """numba witness search is byte-identical across thread counts"""
-    pytest.importorskip("numba")
-    outputs = []
-    for threads in (1, min(2, os.cpu_count() or 1)):
-        env = dict(os.environ, NUMBA_NUM_THREADS=str(threads))
-        run = _countermodel_json("numba", env)
-        assert run.returncode == 1, (threads, run.stderr)
-        _assert_pinned_witness(run.stdout)
-        outputs.append(run.stdout)
-    assert outputs[0] == outputs[1]

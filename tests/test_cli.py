@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
+from expertlogic import kernels
 from expertlogic.cli import main
+from expertlogic.kernels import eval_chunk
 
 ECONOMIST = "fixtures/economist.json"
 DISTRIBUTION_FIXTURE = "fixtures/distribution.json"
@@ -220,6 +222,19 @@ class TestCountermodel:
         assert "elapsed_s" not in json.loads(out)
         _, out, _ = run(capsys, *base, "--timings")
         assert "elapsed_s" in json.loads(out)
+
+    def test_kernel_fault_is_an_internal_error(self, capsys, monkeypatch):
+        # a kernel that clears state x0 in every model reports a witness the
+        # literal re-check refutes: a fault of the program, not of the input
+        def faulty(program, sbm, vals):
+            return eval_chunk(program, sbm, vals) & ~1
+
+        monkeypatch.setattr(kernels, "eval_chunk", faulty)
+        code, out, err = run(capsys, "countermodel", "p -> S p")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("internal error: ")
+        assert "does not falsify" in err
 
 
 class TestEquiv:

@@ -12,6 +12,7 @@ import pickle
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from expertlogic import formula
@@ -25,6 +26,7 @@ from expertlogic.formula import (
     subformulas,
     to_knowledge_form,
 )
+from expertlogic.kernels import compile_program, eval_chunk
 from expertlogic.model import ExpertiseModel, Partition
 from expertlogic.semantics import extension, holds
 
@@ -107,6 +109,22 @@ def test_shared_subformulas_are_visited_once():
     assert extension(model, f, mode="literal") == 0b01
     assert holds(model, "x0", f)
     assert not holds(model, "x1", f)
+
+
+def test_shared_formula_compiles_to_one_op_per_node():
+    f = parse(SHARED)
+    prog = compile_program(f, tuple(SHARED_ATOMS))
+    assert len(prog.ops) == 145
+    # 32 seeded valuations of the 19 atoms over two states, in one block
+    vals = np.random.default_rng(0).integers(0, 4, size=(32, len(SHARED_ATOMS)))
+    out = eval_chunk(prog, np.asarray([0b11, 0b11], dtype=np.int64), vals)
+    for row, ext in zip(vals.tolist(), out.tolist()):
+        model = ExpertiseModel(
+            ("x0", "x1"),
+            Partition.from_blocks([0b11]),
+            tuple(zip(SHARED_ATOMS, row)),
+        )
+        assert ext == extension(model, f)
 
 
 def test_intern_table_holds_nodes_weakly():

@@ -1,33 +1,30 @@
-"""Compiled batch kernels against the reference evaluator.
+"""The compiled batch kernel against the reference evaluators.
 
-The two kernel backends (numba, numpy) must agree bit for bit with the
-pure-Python evaluator in semantics on every model they can express.
+eval_chunk must agree bit for bit with the pure-Python evaluators in
+semantics on every model it can express.
 """
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given
 
-from expertlogic.formula import parse
+from expertlogic.formula import And, Atom, parse, to_knowledge_form
 from expertlogic.kernels import (
-    HAVE_NUMBA,
-    OP_A,
     OP_AND,
+    OP_ATOM,
     OP_E,
     OP_NOT,
-    OP_PUSH_ATOM,
     OP_S,
-    available_backends,
     compile_program,
     eval_chunk,
 )
-from expertlogic.model import ExpertiseModel, Partition
-from expertlogic.semantics import extension
+from expertlogic.model import ExpertiseModel, Partition, to_s5_model
+from expertlogic.proofs import PHI
+from expertlogic.semantics import extension, extension_relational
 
-from reference import ref_partitions, ref_postfix
+from reference import ref_partitions
 from strategies import formulas
-
-BACKENDS = available_backends()
 
 BATTERY = [
     "p",
@@ -71,24 +68,34 @@ def _sbm(partition, n):
 class TestCompile:
     def test_postfix_order(self):
         prog = compile_program(parse("E p & ~q"), ("p", "q"))
-        assert prog.ops.tolist() == [OP_PUSH_ATOM, OP_E, OP_PUSH_ATOM, OP_NOT, OP_AND]
-        assert prog.args.tolist() == [0, 0, 1, 0, 0]
-        assert prog.stack_need == 2
+        assert prog.ops == (
+            (OP_ATOM, 0, 0),
+            (OP_E, 0, 0),
+            (OP_ATOM, 1, 1),
+            (OP_NOT, 2, 2),
+            (OP_AND, 1, 3),
+        )
         assert prog.atom_order == ("p", "q")
 
     def test_atom_columns_follow_given_order(self):
         prog = compile_program(parse("q & p"), ("q", "p"))
-        pushes = prog.args[prog.ops == OP_PUSH_ATOM]
-        assert pushes.tolist() == [0, 1]
+        assert [a for op, a, _ in prog.ops if op == OP_ATOM] == [0, 1]
 
     def test_constants_use_reserved_column(self):
         prog = compile_program(parse("T"), ("p",))
-        pushes = prog.args[prog.ops == OP_PUSH_ATOM]
-        assert (pushes == -1).all()
+        assert [a for op, a, _ in prog.ops if op == OP_ATOM] == [-1]
 
-    def test_stack_need_grows_with_conjunction_width(self):
+    def test_repeated_subformulas_compile_once(self):
+        # p, q, p & q, q & (p & q), and the whole: the inner p and q reuse
+        # the slots of the outer ones
         prog = compile_program(parse("p & (q & (p & q))"), ("p", "q"))
-        assert prog.stack_need == 4
+        assert prog.ops == (
+            (OP_ATOM, 0, 0),
+            (OP_ATOM, 1, 1),
+            (OP_AND, 0, 1),
+            (OP_AND, 1, 2),
+            (OP_AND, 0, 3),
+        )
 
     def test_unbound_atom_rejected(self):
         with pytest.raises(ValueError, match="not bound"):
@@ -98,14 +105,17 @@ class TestCompile:
         with pytest.raises(ValueError, match="E/S/A"):
             compile_program(parse("K p"), ("p",))
 
+    def test_schema_metavariable_rejected(self):
+        with pytest.raises(ValueError, match="E/S/A"):
+            compile_program(And(Atom("p"), PHI), ("p",))
+
     def test_s_and_e_are_distinct_opcodes(self):
         prog = compile_program(parse("E S p"), ("p",))
-        assert prog.ops.tolist() == [OP_PUSH_ATOM, OP_S, OP_E]
+        assert [op for op, _, _ in prog.ops] == [OP_ATOM, OP_S, OP_E]
 
 
 class TestAgainstSemantics:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_matches_extension_on_all_tiny_models(self, backend):
+    def test_matches_extension_on_all_tiny_models(self):
         atoms = ("p", "q")
         programs = [compile_program(parse(t), atoms) for t in BATTERY]
         for n in (1, 2, 3):
@@ -128,11 +138,10 @@ class TestAgainstSemantics:
                     for m in range(len(codes))
                 ]
                 for text, prog in zip(BATTERY, programs):
-                    out = eval_chunk(prog, sbm, vals, backend)
+                    out = eval_chunk(prog, sbm, vals)
                     f = parse(text)
                     for m, model in enumerate(models):
                         assert out[m] == extension(model, f), (
-                            backend,
                             text,
                             n,
                             blocks,
@@ -140,56 +149,42 @@ class TestAgainstSemantics:
                             int(vals[m, 1]),
                         )
 
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not importable")
-    def test_backends_agree_on_a_large_batch(self):
-        atoms = ("p", "q")
-        n = 4
-        states = _states(n)
-        partition = _partition_from_sets([{"x0", "x2"}, {"x1"}, {"x3"}], states)
-        sbm = _sbm(partition, n)
-        codes = np.arange(1 << (n * len(atoms)), dtype=np.int64)
-        shifts = np.asarray([0, n], dtype=np.int64)
-        vals = (codes[:, None] >> shifts[None, :]) & ((1 << n) - 1)
-        for text in BATTERY:
-            prog = compile_program(parse(text), atoms)
-            a = eval_chunk(prog, sbm, vals, "numba")
-            b = eval_chunk(prog, sbm, vals, "numpy")
-            assert np.array_equal(a, b), text
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_repeated_runs_are_identical(self, backend):
+    def test_repeated_runs_are_identical(self):
         prog = compile_program(parse("E (p -> q) -> E p -> E q"), ("p", "q"))
         states = _states(3)
         partition = _partition_from_sets([{"x0", "x1"}, {"x2"}], states)
         sbm = _sbm(partition, 3)
         vals = (np.arange(64, dtype=np.int64)[:, None] >> np.asarray([0, 3])) & 7
-        first = eval_chunk(prog, sbm, vals, backend)
-        second = eval_chunk(prog, sbm, vals, backend)
+        first = eval_chunk(prog, sbm, vals)
+        second = eval_chunk(prog, sbm, vals)
         assert np.array_equal(first, second)
 
-    def test_unknown_backend_rejected(self):
-        prog = compile_program(parse("p"), ("p",))
-        sbm = np.asarray([1], dtype=np.int64)
-        vals = np.asarray([[1]], dtype=np.int64)
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            eval_chunk(prog, sbm, vals, "fortran")
+
+ATOMS = ("p", "q", "r")
 
 
-OPCODE = {
-    "push": OP_PUSH_ATOM,
-    "Not": OP_NOT,
-    "And": OP_AND,
-    "ModalE": OP_E,
-    "ModalS": OP_S,
-    "ModalA": OP_A,
-}
+@st.composite
+def batches(draw):
+    """(n <= 3, a random partition of n states, a few valuation rows over
+    ATOMS)."""
+    n = draw(st.integers(1, 3))
+    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    blocks: dict[int, int] = {}
+    for i, label in enumerate(labels):
+        blocks[label] = blocks.get(label, 0) | 1 << i
+    row = st.lists(st.integers(0, (1 << n) - 1), min_size=len(ATOMS), max_size=len(ATOMS))
+    vals = draw(st.lists(row, min_size=1, max_size=8))
+    return n, Partition.from_blocks(list(blocks.values())), np.asarray(vals, dtype=np.int64)
 
 
-@given(formulas(with_k=False))
-def test_program_matches_recursive_postfix(f):
-    atoms = ("p", "q", "r")
-    prog = compile_program(f, atoms)
-    listing, need = ref_postfix(f, atoms)
-    assert prog.ops.tolist() == [OPCODE[mnemonic] for mnemonic, _ in listing]
-    assert prog.args.tolist() == [column for _, column in listing]
-    assert prog.stack_need == need
+@given(formulas(ATOMS, with_k=False), batches())
+def test_eval_chunk_matches_both_evaluators(f, batch):
+    """Bit for bit against the literal clauses and against the knowledge
+    form on the induced relational model."""
+    n, partition, vals = batch
+    out = eval_chunk(compile_program(f, ATOMS), _sbm(partition, n), vals)
+    knowledge = to_knowledge_form(f)
+    for row, ext in zip(vals.tolist(), out.tolist()):
+        model = ExpertiseModel(_states(n), partition, tuple(zip(ATOMS, row)))
+        assert ext == extension(model, f, mode="literal")
+        assert ext == extension_relational(to_s5_model(model), knowledge)
