@@ -53,7 +53,7 @@ from .proofs import (
     load_derivation,
     soundness_sweep,
 )
-from .semantics import check_correspondence, extension, holds
+from .semantics import check_correspondence, extension
 from .validity import (
     ENGINES,
     EnumerationSpec,
@@ -104,7 +104,7 @@ def cmd_eval(args) -> int:
     f = parse(args.formula)
     ext = extension(model, f, mode=args.mode)
     if args.state is not None:
-        value = holds(model, args.state, f, mode=args.mode)
+        value = bool((ext >> model.state_index(args.state)) & 1)
         if args.json:
             _dump(
                 {

@@ -63,29 +63,33 @@ def compile_program(f: Formula, atom_order) -> Program:
     """One op per distinct node of a K-free formula, over the given atom
     columns.
 
-    Atoms outside `atom_order` are rejected, except the reserved 'top'
-    introduced by the T/F sugar, which compiles to the constant empty set
-    (its value cancels out of T and F either way).
+    This is the bounded search's input check.  A node outside E/S/A (K,
+    or a proof metavariable) is rejected as soon as the walk meets it;
+    atoms outside `atom_order` are rejected after the walk, all of them,
+    sorted.  The reserved 'top' introduced by the T/F sugar needs no
+    column: it compiles to the constant empty set (its value cancels out
+    of T and F either way).
     """
-    index = {a: i for i, a in enumerate(atom_order)}
+    index = {RESERVED_TOP_ATOM: -1, **{a: i for i, a in enumerate(atom_order)}}
     slot: dict[Formula, int] = {}
     ops: list[tuple[int, int, int]] = []
+    loose: set[str] = set()
     for g in subformulas(f):
         if isinstance(g, Atom):
-            if g.name in index:
-                column = index[g.name]
-            elif g.name == RESERVED_TOP_ATOM:
-                column = -1
-            else:
-                raise ValueError(
-                    f"atom {g.name!r} is not bound to a column in {atom_order}"
-                )
+            column = index.get(g.name, -1)
+            if g.name not in index:
+                loose.add(g.name)
             ops.append((OP_ATOM, column, column))
         elif type(g) in _OPCODE:
             ops.append((_OPCODE[type(g)], slot[g.children[0]], slot[g.children[-1]]))
         else:
-            raise ValueError("kernels evaluate only E/S/A formulas")
+            raise ValueError("bounded search covers only E/S/A formulas")
         slot[g] = len(ops) - 1
+    if loose:
+        raise ValueError(
+            "formula mentions atoms outside the search valuations: "
+            + ", ".join(sorted(loose))
+        )
     return Program(ops=tuple(ops), atom_order=tuple(atom_order))
 
 

@@ -168,24 +168,16 @@ def partition_from_expertise_set(family: Iterable[Mask], n: int) -> Partition:
 
     Each state's block is the intersection of the family members containing
     it, i.e. the smallest set the family can tell apart from the rest around
-    that state.  Raises ExpertiseSetError (with per-law witnesses) if the
+    that state; on a legal family those are the blocks closure() groups.
+    Raises ExpertiseSetError (with per-law witnesses) if the
     family is not legal; states are then reported positionally (s0, s1, ...).
     """
-    full = (1 << n) - 1
-    fam = sorted({m & full for m in family})
-    violations = verify_expertise_set(fam, n)
+    family = list(family)
+    violations = verify_expertise_set(family, n)
     if violations:
         placeholder = tuple(f"s{i}" for i in range(n))
         raise ExpertiseSetError(violations, placeholder)
-    blocks = set()
-    for i in range(n):
-        bit = 1 << i
-        cell = full
-        for member in fam:
-            if member & bit:
-                cell &= member
-        blocks.add(cell)
-    return Partition.from_blocks(blocks)
+    return closure(family, n)
 
 
 def expertise_set_from_partition(partition: Partition) -> tuple[Mask, ...]:
@@ -288,9 +280,6 @@ class ExpertiseModel(_ModelBase):
             raise ModelFormatError("partition must cover exactly the state space")
         _check_valuation(self.valuation, self.states)
         object.__setattr__(self, "valuation", tuple(sorted(self.valuation)))
-
-    def block_of_state(self, name: str) -> Mask:
-        return self.partition.block_of(1 << self.state_index(name))
 
 
 @dataclass(frozen=True)
@@ -405,7 +394,7 @@ def model_from_dict(doc: Mapping) -> ExpertiseModel:
         violations = verify_expertise_set(family, len(states))
         if violations:
             raise ExpertiseSetError(violations, states)
-        partition = partition_from_expertise_set(family, len(states))
+        partition = closure(family, len(states))
 
     raw_val = doc.get("valuation", {})
     if not isinstance(raw_val, Mapping):

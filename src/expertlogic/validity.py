@@ -11,11 +11,15 @@ so the first countermodel is the same on every engine and every run:
 * valuations as a single counter: atom j's extension occupies bits
   [j*n, (j+1)*n) of the code, so the code runs through all 2^(n*k) masks.
 
-A size-n slice therefore holds exactly bell(n) * 2^(n*k) models.  Two
-engines visit that order: 'numpy' (the default) runs the compiled kernel
-from .kernels over a chunk of valuations at a time, 'python' walks
-ExpertiseModel objects through .semantics and is the reference the tests
-compare it with.  Every witness found is re-verified with the
+A size-n slice therefore holds exactly bell(n) * 2^(n*k) models.  One
+generator, _ranges, walks that order as ranges of valuation codes (one
+partition, at most _CHUNK codes each) and is the only place that applies
+the spec's limit.  find_countermodel is one loop over those ranges; the
+engines differ only in how they compute the formula's extension in each
+model of a range: 'numpy' (the default) runs the compiled kernel from
+.kernels on the whole range, 'python' builds each ExpertiseModel and
+evaluates it through .semantics, and is the reference the tests compare
+the kernel with.  Every witness found is re-verified with the
 literal-clause evaluator before the Verdict is built, so a kernel bug
 cannot produce a bogus countermodel.
 """
@@ -24,22 +28,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from . import kernels
-from .formula import (
-    Formula,
-    Iff,
-    RESERVED_TOP_ATOM,
-    atom_names,
-    in_expertise_language,
-    is_atom_name,
-    parse,
-    render,
-)
+from .formula import Formula, Iff, is_atom_name, parse, render
 from .model import ExpertiseModel, Mask, Partition, model_to_dict
 from .semantics import extension, holds
 
@@ -74,16 +68,17 @@ def rgs_partitions(n: int) -> Iterator[tuple[int, ...]]:
     jumps more than one past the maximum so far.
     """
     rgs = [0] * n
-
-    def rec(i: int, used: int):
-        if i == n:
-            yield tuple(rgs)
+    while True:
+        yield tuple(rgs)
+        # the successor bumps the rightmost entry that may grow, then
+        # restarts everything after it at block 0
+        i = n - 1
+        while i > 0 and rgs[i] > max(rgs[:i]):
+            i -= 1
+        if i == 0:
             return
-        for j in range(used + 1):
-            rgs[i] = j
-            yield from rec(i + 1, max(used, j + 1))
-
-    yield from rec(1, 1) if n > 1 else iter([tuple(rgs)])
+        rgs[i] += 1
+        rgs[i + 1 :] = [0] * (n - 1 - i)
 
 
 def blocks_from_rgs(rgs: tuple[int, ...]) -> tuple[Mask, ...]:
@@ -139,16 +134,33 @@ def _model_from_code(
     return ExpertiseModel(_state_names(n), Partition.from_blocks(blocks), valuation)
 
 
+def _ranges(
+    spec: EnumerationSpec, sizes: Iterable[int]
+) -> Iterator[tuple[int, tuple[Mask, ...], tuple[int, ...], range]]:
+    """The models of the given sizes in enumeration order, as
+    (n, blocks, rgs, codes): one partition and a range of at most _CHUNK
+    valuation codes.  Stops after spec.limit models in all."""
+    left = spec.limit
+    for n in sizes:
+        codes_total = 1 << (n * len(spec.atoms))
+        for rgs in rgs_partitions(n):
+            blocks = blocks_from_rgs(rgs)
+            for start in range(0, codes_total, _CHUNK):
+                stop = min(start + _CHUNK, codes_total)
+                if left is not None:
+                    if left == 0:
+                        return
+                    stop = min(stop, start + left)
+                    left -= stop - start
+                yield n, blocks, rgs, range(start, stop)
+
+
 def enumerate_models(spec: EnumerationSpec) -> Iterator[ExpertiseModel]:
     """All models with exactly spec.n_states states, in enumeration order;
     at most spec.limit of them."""
-    n = spec.n_states
-    models = (
-        _model_from_code(n, blocks, spec.atoms, code)
-        for blocks in map(blocks_from_rgs, rgs_partitions(n))
-        for code in range(1 << (n * len(spec.atoms)))
-    )
-    yield from islice(models, spec.limit)
+    for n, blocks, _, codes in _ranges(spec, (spec.n_states,)):
+        for code in codes:
+            yield _model_from_code(n, blocks, spec.atoms, code)
 
 
 @dataclass(frozen=True)
@@ -187,10 +199,6 @@ class Verdict:
     @classmethod
     def valid_up_to(cls, formula, spec, stats) -> "Verdict":
         return cls("valid-up-to-bound", formula, spec, stats)
-
-    @property
-    def is_valid_up_to_bound(self) -> bool:
-        return self.status == "valid-up-to-bound"
 
     def summary(self) -> str:
         """One-line verdict; the wording of the bounded case is fixed."""
@@ -234,94 +242,49 @@ class Verdict:
         return doc
 
 
-def _check_search_inputs(formula: Formula, spec: EnumerationSpec) -> None:
-    if not in_expertise_language(formula):
-        raise ValueError("bounded search covers only E/S/A formulas")
-    loose = atom_names(formula) - set(spec.atoms) - {RESERVED_TOP_ATOM}
-    if loose:
-        raise ValueError(
-            "formula mentions atoms outside the search valuations: "
-            + ", ".join(sorted(loose))
-        )
-
-
 def find_countermodel(
     formula: Formula, spec: EnumerationSpec, engine: str | None = None
 ) -> Verdict:
     """First model in enumeration order falsifying the formula, if any.
 
     The witness state is the least state of that model where the formula
-    fails.  The numpy engine evaluates a chunk of valuations at once, then
-    reduces to the least falsifying index, so the result is identical
-    across engines and chunk sizes.
+    fails.  Each range of models from _ranges is evaluated whole, by the
+    kernel (numpy) or model by model (python), and then reduced to its
+    least falsifying index, so the result is identical across engines and
+    range sizes.  compile_program is the input check for both engines.
     """
-    _check_search_inputs(formula, spec)
-    engine = resolve_engine(engine)
     started = time.perf_counter()
-    if engine == "python":
-        outcome = _search_python(formula, spec)
-    else:
-        outcome = _search_kernel(formula, spec)
-    checked, truncated, hit = outcome
+    program = kernels.compile_program(formula, spec.atoms)
+    engine = resolve_engine(engine)
+    checked = 0
+    hit = None
+    for n, blocks, rgs, codes in _ranges(spec, range(1, spec.n_states + 1)):
+        full = (1 << n) - 1
+        if engine == "numpy":
+            sbm = np.array([blocks[j] for j in rgs], dtype=np.int64)
+            column = np.arange(codes.start, codes.stop, dtype=np.int64)[:, None]
+            shifts = np.arange(len(spec.atoms), dtype=np.int64) * n
+            out = kernels.eval_chunk(program, sbm, (column >> shifts) & full)
+        else:
+            models = (_model_from_code(n, blocks, spec.atoms, c) for c in codes)
+            out = np.array([extension(m, formula) for m in models], dtype=np.int64)
+        bad = np.nonzero(out != full)[0]
+        if bad.size:
+            idx = int(bad[0])
+            checked += idx + 1
+            model = _model_from_code(n, blocks, spec.atoms, codes[idx])
+            hit = model, model.states[_lowest_zero(int(out[idx]), n)]
+            break
+        checked += len(codes)
     stats = SearchStats(
         models_checked=checked,
-        truncated=truncated,
+        truncated=hit is None and checked < spec.total_count(),
         elapsed_s=time.perf_counter() - started,
         engine=engine,
     )
     if hit is None:
         return Verdict.valid_up_to(formula, spec, stats)
-    model, state = hit
-    return Verdict.found(formula, spec, stats, model, state)
-
-
-def _search_python(formula, spec):
-    checked = 0
-    for n in range(1, spec.n_states + 1):
-        size_spec = EnumerationSpec(n, spec.atoms)
-        full = (1 << n) - 1
-        for model in enumerate_models(size_spec):
-            if spec.limit is not None and checked >= spec.limit:
-                return checked, True, None
-            checked += 1
-            ext = extension(model, formula)
-            if ext != full:
-                state = model.states[_lowest_zero(ext, n)]
-                return checked, False, (model, state)
-    return checked, False, None
-
-
-def _search_kernel(formula, spec):
-    program = kernels.compile_program(formula, spec.atoms)
-    k = len(spec.atoms)
-    checked = 0
-    for n in range(1, spec.n_states + 1):
-        full = (1 << n) - 1
-        codes_total = 1 << (n * k)
-        shifts = np.arange(k, dtype=np.int64) * n
-        for rgs in rgs_partitions(n):
-            blocks = blocks_from_rgs(rgs)
-            sbm = np.array([blocks[j] for j in rgs], dtype=np.int64)
-            start = 0
-            while start < codes_total:
-                stop = min(start + _CHUNK, codes_total)
-                if spec.limit is not None:
-                    stop = min(stop, start + (spec.limit - checked))
-                    if stop <= start:
-                        return checked, True, None
-                codes = np.arange(start, stop, dtype=np.int64)
-                vals = (codes[:, None] >> shifts[None, :]) & full
-                out = kernels.eval_chunk(program, sbm, vals)
-                bad = np.nonzero(out != full)[0]
-                if bad.size:
-                    idx = int(bad[0])
-                    checked += idx + 1
-                    model = _model_from_code(n, blocks, spec.atoms, start + idx)
-                    state = model.states[_lowest_zero(int(out[idx]), n)]
-                    return checked, False, (model, state)
-                checked += stop - start
-                start = stop
-    return checked, False, None
+    return Verdict.found(formula, spec, stats, *hit)
 
 
 def _lowest_zero(mask: Mask, n: int) -> int:

@@ -88,6 +88,17 @@ class TestEval:
         assert "error:" in err
         assert out == ""
 
+    def test_unknown_atom_at_a_state_warns_once(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "expertlogic", "eval", ECONOMIST, "p & zz", "--state", "a"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == "false\n"
+        warnings = [line for line in proc.stderr.splitlines() if "UnknownAtomWarning" in line]
+        assert len(warnings) == 1, proc.stderr
+
 
 class TestExtension:
     def test_plain_set(self, capsys):

@@ -98,7 +98,7 @@ class TestCompile:
         )
 
     def test_unbound_atom_rejected(self):
-        with pytest.raises(ValueError, match="not bound"):
+        with pytest.raises(ValueError, match="outside the search valuations"):
             compile_program(parse("p & r"), ("p", "q"))
 
     def test_knowledge_operator_rejected(self):

@@ -36,12 +36,16 @@ class TestCounting:
     def test_bell_numbers(self):
         assert [bell_number(n) for n in range(7)] == [1, 1, 2, 5, 15, 52, 203]
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     def test_rgs_count_matches_reference_partitions(self, n):
         got = list(rgs_partitions(n))
         assert len(got) == bell_number(n)
-        assert len(set(got)) == len(got)
-        assert len(list(ref_partitions(set(range(n))))) == len(got)
+        assert all(a < b for a, b in zip(got, got[1:]))
+        as_sets = {
+            frozenset(frozenset(i for i in range(n) if rgs[i] == j) for j in set(rgs))
+            for rgs in got
+        }
+        assert as_sets == set(ref_partitions(set(range(n))))
 
     def test_rgs_order_is_lexicographic(self):
         assert list(rgs_partitions(3)) == [
@@ -193,6 +197,26 @@ class TestSearch:
         assert verdict.stats.models_checked == 10
         assert "truncated" in verdict.summary()
 
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_limit_at_the_bound_is_not_a_truncation(self, engine):
+        whole = EnumerationSpec(3, ("p", "q")).total_count()
+        for limit, truncated in ((whole, False), (whole - 1, True)):
+            spec = EnumerationSpec(3, ("p", "q"), limit=limit)
+            verdict = find_countermodel(parse("p -> S p"), spec, engine)
+            assert verdict.status == "valid-up-to-bound"
+            assert verdict.stats.models_checked == limit
+            assert verdict.stats.truncated is truncated
+
+    def test_limit_inside_a_partition_spanning_several_ranges(self):
+        # size 6 over three atoms has 2^18 valuations per partition, so
+        # each of its partitions spans four ranges; the cut falls in the
+        # third range of the first one
+        spec = EnumerationSpec(6, ("p", "q", "r"), limit=1_900_000)
+        verdict = find_countermodel(parse("p -> S p"), spec, "numpy")
+        assert verdict.status == "valid-up-to-bound"
+        assert verdict.stats.models_checked == 1_900_000
+        assert verdict.stats.truncated
+
     def test_limit_before_witness_misses_it(self):
         spec = EnumerationSpec(2, ("p",), limit=3)
         verdict = find_countermodel(parse("E p"), spec, "python")
@@ -218,6 +242,17 @@ class TestSearchInputs:
     def test_uncovered_atom_rejected(self):
         with pytest.raises(ValueError, match="outside the search valuations"):
             find_countermodel(parse("p & r"), EnumerationSpec(2, ("p",)))
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_every_uncovered_atom_is_named_sorted(self, engine):
+        spec = EnumerationSpec(2, ("p",))
+        with pytest.raises(ValueError, match="valuations: r, s$"):
+            find_countermodel(parse("s & p & r"), spec, engine)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_knowledge_wins_over_an_uncovered_atom(self, engine):
+        with pytest.raises(ValueError, match="E/S/A"):
+            find_countermodel(parse("r & K p"), EnumerationSpec(2, ("p",)), engine)
 
     def test_constants_need_no_valuation_column(self):
         verdict = find_countermodel(parse("T"), EnumerationSpec(2, ("p",)), "python")
