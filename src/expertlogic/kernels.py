@@ -1,26 +1,43 @@
-"""Batch evaluation kernel for the bounded search.
+"""Bit-sliced evaluation kernel for the bounded search.
 
-A formula is compiled once into a program over int64 extension masks
-(bit i = state i): one op per distinct subformula, in formula.subformulas
-order (children first), so a subformula that recurs is evaluated once.
-Op t writes slot t and reads its operands from earlier slots by index;
-the last slot holds the formula's extension.  A chunk of work is one
-partition, given as the per-state block mask `sbm`, crossed with a batch
-of valuations `vals` (row = model, column = atom).  eval_chunk returns the
-formula's extension in each model; the search layers on top never look
-inside.
+A formula is compiled once into a program: one op per distinct
+subformula, in formula.subformulas order (children first), so a
+subformula that recurs is evaluated once.  Op t writes slot t and reads
+its operands from earlier slots by index; the last slot holds the
+formula's extension.  compile_program also records, for each op, the
+slots it is the last reader of, and eval_chunk drops those slots after
+the op, so only the live part of the program holds memory.
+
+The layout is bit-sliced (Biham, "A fast new DES implementation in
+software", FSE 1997): each bit of a word belongs to a different model,
+so one word op evaluates 64 models.  A slot is a uint64 array of shape
+(P, n, W) for a batch of P partitions of n states and a window of W
+words of valuation codes.  In row i, bit t of word w says whether state
+i is in the extension of the model with valuation code 64*(first + w) + t
+under partition p.  Code bit j*n + i is atom j's value at state i, so an
+atom's rows are constants: for code bits below 6 a fixed word (0xAAAA...,
+0xCCCC..., 0xF0F0..., ...), for higher bits a pattern of all-ones and
+all-zero words (atom_planes).  Rows or partitions that do not vary are
+kept as axes of length 1 and broadcast: an atom is (1, n, W), and E and A
+give (P, 1, W).
 
 Opcodes, as (opcode, a, b) with slot[a] and slot[b] the operands::
 
-    OP_ATOM  slot = vals[model, a]   (a == -1 gives the empty set)
-    OP_NOT   complement of slot[a] within the space
+    OP_ATOM  slot = planes[a]        (a == -1 gives the empty set)
+    OP_NOT   ~slot[a]
     OP_AND   slot[a] & slot[b]
-    OP_E     whole space if slot[a] is a union of blocks, else empty
-    OP_S     block-closure of slot[a] (union of blocks meeting it)
-    OP_A     whole space if slot[a] is the whole space, else empty
+    OP_E     AND over rows of ~(S slot[a] ^ slot[a]): ||f|| is a union
+             of blocks exactly when it equals its block-closure
+    OP_S     block-closure: row i is the OR of the rows in i's block,
+             selected by the all-ones/all-zero (P, n, n) mask `same`
+    OP_A     AND over rows of slot[a]
 
-Unary ops repeat their operand in b.  The test suite pins the kernel to
-the pure-Python evaluators in semantics.
+Unary ops repeat their operand in b.  Bits of a word past the end of the
+code space are evaluated like any other; first_failure, which reduces a
+root slot to the least falsified model and its least falsified state,
+ignores them.  pack_extensions puts extensions computed elsewhere into
+the same layout.  The test suite pins the kernel to the pure-Python
+evaluators in semantics.
 """
 
 from __future__ import annotations
@@ -50,13 +67,25 @@ OP_A = 5
 
 _OPCODE = {Not: OP_NOT, And: OP_AND, ModalE: OP_E, ModalS: OP_S, ModalA: OP_A}
 
+_ALL_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
+# for code bits b < 6, the word whose bit t is bit b of t: 0xAAAA...,
+# 0xCCCC..., 0xF0F0..., 0xFF00..., 0xFFFF0000..., 0xFFFFFFFF00000000
+_LOW_WORDS = np.array(
+    [sum(1 << t for t in range(64) if t >> b & 1) for b in range(6)], dtype=np.uint64
+)
+
 
 @dataclass(frozen=True)
 class Program:
-    """One formula as (opcode, a, b) ops, fixed to an atom order."""
+    """One formula as (opcode, a, b) ops, fixed to an atom order.
+
+    frees[t] lists the slots whose last reader is op t; the root's slot is
+    never freed.
+    """
 
     ops: tuple[tuple[int, int, int], ...]
     atom_order: tuple[str, ...]
+    frees: tuple[tuple[int, ...], ...]
 
 
 def compile_program(f: Formula, atom_order) -> Program:
@@ -73,6 +102,7 @@ def compile_program(f: Formula, atom_order) -> Program:
     index = {RESERVED_TOP_ATOM: -1, **{a: i for i, a in enumerate(atom_order)}}
     slot: dict[Formula, int] = {}
     ops: list[tuple[int, int, int]] = []
+    last_reader: dict[int, int] = {}
     loose: set[str] = set()
     for g in subformulas(f):
         if isinstance(g, Atom):
@@ -81,7 +111,9 @@ def compile_program(f: Formula, atom_order) -> Program:
                 loose.add(g.name)
             ops.append((OP_ATOM, column, column))
         elif type(g) in _OPCODE:
-            ops.append((_OPCODE[type(g)], slot[g.children[0]], slot[g.children[-1]]))
+            a, b = slot[g.children[0]], slot[g.children[-1]]
+            last_reader[a] = last_reader[b] = len(ops)
+            ops.append((_OPCODE[type(g)], a, b))
         else:
             raise ValueError("bounded search covers only E/S/A formulas")
         slot[g] = len(ops) - 1
@@ -90,28 +122,85 @@ def compile_program(f: Formula, atom_order) -> Program:
             "formula mentions atoms outside the search valuations: "
             + ", ".join(sorted(loose))
         )
-    return Program(ops=tuple(ops), atom_order=tuple(atom_order))
+    frees: list[tuple[int, ...]] = [()] * len(ops)
+    for s, t in last_reader.items():
+        frees[t] += (s,)
+    return Program(ops=tuple(ops), atom_order=tuple(atom_order), frees=tuple(frees))
 
 
-def eval_chunk(program: Program, sbm: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Extensions of the compiled formula across one partition x batch."""
-    n = sbm.shape[0]
-    full = np.int64((1 << n) - 1)
-    count = vals.shape[0]
-    slots: list[np.ndarray] = []
-    for op, a, b in program.ops:
+def atom_planes(n: int, k: int, first: int, words: int) -> np.ndarray:
+    """The rows of k atoms over n states in the code window of `words`
+    words starting at word `first`, as a (k, n, words) uint64 array."""
+    bits = n * k
+    planes = np.empty((bits, words), dtype=np.uint64)
+    low = min(bits, 6)
+    planes[:low] = _LOW_WORDS[:low, None]
+    if bits > 6:
+        w = np.arange(first, first + words, dtype=np.uint64)
+        high = np.arange(bits - 6, dtype=np.uint64)[:, None]
+        planes[6:] = ((w >> high) & np.uint64(1)) * _ALL_ONES
+    return planes.reshape(k, n, words)
+
+
+def same_block(rgss) -> np.ndarray:
+    """The (P, n, n) mask of P partitions given as restricted growth
+    strings: all-ones where states i and j share a block, else zero."""
+    r = np.asarray(rgss)
+    return np.where(r[:, :, None] == r[:, None, :], _ALL_ONES, np.uint64(0))
+
+
+def _saturate(f: np.ndarray, same: np.ndarray) -> np.ndarray:
+    return np.bitwise_or.reduce(same[:, :, :, None] & f[:, None, :, :], axis=2)
+
+
+def eval_chunk(program: Program, planes: np.ndarray, same: np.ndarray) -> np.ndarray:
+    """Extensions of the compiled formula across a batch: planes from
+    atom_planes, same from same_block.  Returns the root's slot, of shape
+    (P or 1, n or 1, W)."""
+    words = planes.shape[-1]
+    slots: list[np.ndarray | None] = [None] * len(program.ops)
+    for t, (op, a, b) in enumerate(program.ops):
         if op == OP_ATOM:
-            ext = vals[:, a] if a >= 0 else np.zeros(count, dtype=np.int64)
+            ext = planes[None, a] if a >= 0 else np.zeros((1, 1, words), np.uint64)
         elif op == OP_NOT:
-            ext = full & ~slots[a]
+            ext = ~slots[a]
         elif op == OP_AND:
             ext = slots[a] & slots[b]
-        elif op == OP_A:
-            ext = np.where(slots[a] == full, full, np.int64(0))
+        elif op == OP_S:
+            ext = _saturate(slots[a], same)
+        elif op == OP_E:
+            f = slots[a]
+            ext = np.bitwise_and.reduce(~(_saturate(f, same) ^ f), axis=1, keepdims=True)
         else:
-            sat = np.zeros(count, dtype=np.int64)
-            for i in range(n):
-                sat |= ((slots[a] >> i) & 1) * sbm[i]
-            ext = sat if op == OP_S else np.where(sat == slots[a], full, np.int64(0))
-        slots.append(ext)
+            ext = np.bitwise_and.reduce(slots[a], axis=1, keepdims=True)
+        slots[t] = ext
+        for s in program.frees[t]:
+            slots[s] = None
     return slots[-1]
+
+
+def first_failure(out: np.ndarray, per: int) -> tuple[int, int] | None:
+    """The least model of a batch where the root slot `out` is not the
+    whole space, as (position, state): the position counts partition-major
+    and then by code, with `per` codes in each partition's window, and the
+    state is the least one outside the extension.  None if every model
+    holds.  Bits of a one-word window past `per` are ignored."""
+    fails = ~np.bitwise_and.reduce(out, axis=1)
+    if per < 64:
+        fails &= np.uint64((1 << per) - 1)
+    ps, ws = fails.nonzero()
+    if not ps.size:
+        return None
+    p, w = int(ps[0]), int(ws[0])
+    word = int(fails[p, w])
+    t = (word & -word).bit_length() - 1
+    rows = out[p, :, w].tolist()
+    return p * per + w * 64 + t, next(i for i, r in enumerate(rows) if not r >> t & 1)
+
+
+def pack_extensions(exts: np.ndarray, n: int) -> np.ndarray:
+    """Extensions as state masks, one row of 64 * W codes per partition,
+    in the layout of a (P, n, W) slot."""
+    bits = (exts[:, None, :] >> np.arange(n)[:, None]) & 1
+    packed = np.packbits(bits.astype(np.uint8), axis=-1, bitorder="little")
+    return packed.view("<u8")

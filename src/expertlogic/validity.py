@@ -12,15 +12,21 @@ so the first countermodel is the same on every engine and every run:
   [j*n, (j+1)*n) of the code, so the code runs through all 2^(n*k) masks.
 
 A size-n slice therefore holds exactly bell(n) * 2^(n*k) models.  One
-generator, _ranges, walks that order as ranges of valuation codes (one
-partition, at most _CHUNK codes each) and is the only place that applies
-the spec's limit.  find_countermodel is one loop over those ranges; the
-engines differ only in how they compute the formula's extension in each
-model of a range: 'numpy' (the default) runs the compiled kernel from
-.kernels on the whole range, 'python' builds each ExpertiseModel and
-evaluates it through .semantics, and is the reference the tests compare
-the kernel with.  Every witness found is re-verified with the
-literal-clause evaluator before the Verdict is built, so a kernel bug
+generator, _ranges, walks that order in batches and is the only place
+that applies the spec's limit.  A batch is a run of partitions crossed
+with a window of valuation codes: either several partitions, each with
+its whole code space, or one partition and a window of its codes, sized
+so that one kernel slot (P partitions x n states x W words of 64 codes)
+holds at most _BUDGET words.  find_countermodel is one loop over those
+batches; the engines differ only in how they compute the formula's
+extension in each model of a batch, both in the bit-sliced layout of
+.kernels: 'numpy' (the default) runs the compiled kernel, 'python'
+builds each ExpertiseModel, evaluates it through .semantics and packs
+the result, and is the reference the tests compare the kernel with.  The
+loop then takes the least falsifying model of the batch, partition-major
+and then by code, which is the enumeration order, so the verdict does
+not depend on the batch shape.  Every witness found is re-verified with
+the literal-clause evaluator before the Verdict is built, so a kernel bug
 cannot produce a bogus countermodel.
 """
 
@@ -28,6 +34,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cache
+from itertools import islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -39,7 +47,8 @@ from .semantics import extension, holds
 
 ENGINES = ("numpy", "python")
 
-_CHUNK = 1 << 16
+# most words a kernel slot of one batch may hold (128 KiB)
+_BUDGET = 1 << 14
 
 
 def resolve_engine(requested: str | None = None) -> str:
@@ -124,43 +133,68 @@ def _state_names(n: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(n))
 
 
-def _model_from_code(
-    n: int, blocks: tuple[Mask, ...], atoms: tuple[str, ...], code: int
-) -> ExpertiseModel:
+def _models(
+    n: int, partition: Partition, atoms: tuple[str, ...], codes: Iterable[int]
+) -> Iterator[ExpertiseModel]:
+    states = _state_names(n)
     full = (1 << n) - 1
-    valuation = tuple(
-        (atom, (code >> (j * n)) & full) for j, atom in enumerate(atoms)
-    )
-    return ExpertiseModel(_state_names(n), Partition.from_blocks(blocks), valuation)
+    for code in codes:
+        valuation = tuple(
+            (atom, (code >> (j * n)) & full) for j, atom in enumerate(atoms)
+        )
+        yield ExpertiseModel(states, partition, valuation)
+
+
+@cache
+def _layout(n: int, k: int) -> tuple[int, int]:
+    """(partitions per batch, words per window) for size n over k atoms.
+    A code space that fits the budget n times or more is batched whole,
+    several partitions at once; a larger one is cut into windows of one
+    partition."""
+    words = max(1, (1 << (n * k)) >> 6)
+    if n * words <= _BUDGET:
+        return _BUDGET // (n * words), words
+    return 1, _BUDGET // n
 
 
 def _ranges(
     spec: EnumerationSpec, sizes: Iterable[int]
-) -> Iterator[tuple[int, tuple[Mask, ...], tuple[int, ...], range]]:
-    """The models of the given sizes in enumeration order, as
-    (n, blocks, rgs, codes): one partition and a range of at most _CHUNK
-    valuation codes.  Stops after spec.limit models in all."""
+) -> Iterator[tuple[int, tuple[tuple[int, ...], ...], range, int]]:
+    """The models of the given sizes in enumeration order, as batches
+    (n, rgss, codes, count): the partitions' restricted growth strings,
+    the window of valuation codes each of them takes, and the number of
+    models in the batch, partition-major.  Stops after spec.limit models
+    in all: the last batch keeps only the partitions, or the codes, that
+    the limit reaches, and `count` cuts it exactly."""
     left = spec.limit
     for n in sizes:
+        batch, window = _layout(n, len(spec.atoms))
         codes_total = 1 << (n * len(spec.atoms))
-        for rgs in rgs_partitions(n):
-            blocks = blocks_from_rgs(rgs)
-            for start in range(0, codes_total, _CHUNK):
-                stop = min(start + _CHUNK, codes_total)
+        partitions = rgs_partitions(n)
+        while rgss := tuple(islice(partitions, batch)):
+            for start in range(0, codes_total, window << 6):
+                codes = range(start, min(start + (window << 6), codes_total))
+                count = len(rgss) * len(codes)
                 if left is not None:
                     if left == 0:
                         return
-                    stop = min(stop, start + left)
-                    left -= stop - start
-                yield n, blocks, rgs, range(start, stop)
+                    if count > left:
+                        rgss = rgss[: -(-left // len(codes))]
+                        if len(rgss) == 1:
+                            codes = codes[:left]
+                        count = left
+                    left -= count
+                yield n, rgss, codes, count
 
 
 def enumerate_models(spec: EnumerationSpec) -> Iterator[ExpertiseModel]:
     """All models with exactly spec.n_states states, in enumeration order;
     at most spec.limit of them."""
-    for n, blocks, _, codes in _ranges(spec, (spec.n_states,)):
-        for code in codes:
-            yield _model_from_code(n, blocks, spec.atoms, code)
+    for n, rgss, codes, count in _ranges(spec, (spec.n_states,)):
+        for p, rgs in enumerate(rgss):
+            partition = Partition.from_blocks(blocks_from_rgs(rgs))
+            taken = min(len(codes), count - p * len(codes))
+            yield from _models(n, partition, spec.atoms, codes[:taken])
 
 
 @dataclass(frozen=True)
@@ -248,34 +282,33 @@ def find_countermodel(
     """First model in enumeration order falsifying the formula, if any.
 
     The witness state is the least state of that model where the formula
-    fails.  Each range of models from _ranges is evaluated whole, by the
+    fails.  Each batch of models from _ranges is evaluated whole, by the
     kernel (numpy) or model by model (python), and then reduced to its
-    least falsifying index, so the result is identical across engines and
-    range sizes.  compile_program is the input check for both engines.
+    least falsifying model, so the result is identical across engines and
+    batch shapes.  compile_program is the input check for both engines.
     """
     started = time.perf_counter()
     program = kernels.compile_program(formula, spec.atoms)
     engine = resolve_engine(engine)
     checked = 0
     hit = None
-    for n, blocks, rgs, codes in _ranges(spec, range(1, spec.n_states + 1)):
-        full = (1 << n) - 1
+    for n, rgss, codes, count in _ranges(spec, range(1, spec.n_states + 1)):
+        words = -(-len(codes) // 64)
         if engine == "numpy":
-            sbm = np.array([blocks[j] for j in rgs], dtype=np.int64)
-            column = np.arange(codes.start, codes.stop, dtype=np.int64)[:, None]
-            shifts = np.arange(len(spec.atoms), dtype=np.int64) * n
-            out = kernels.eval_chunk(program, sbm, (column >> shifts) & full)
+            planes = kernels.atom_planes(n, len(spec.atoms), codes.start >> 6, words)
+            out = kernels.eval_chunk(program, planes, kernels.same_block(rgss))
         else:
-            models = (_model_from_code(n, blocks, spec.atoms, c) for c in codes)
-            out = np.array([extension(m, formula) for m in models], dtype=np.int64)
-        bad = np.nonzero(out != full)[0]
-        if bad.size:
-            idx = int(bad[0])
-            checked += idx + 1
-            model = _model_from_code(n, blocks, spec.atoms, codes[idx])
-            hit = model, model.states[_lowest_zero(int(out[idx]), n)]
+            out = _python_extensions(formula, n, rgss, spec.atoms, codes, words)
+        found = kernels.first_failure(out, len(codes))
+        if found is not None and found[0] < count:
+            index, state = found
+            p, offset = divmod(index, len(codes))
+            checked += index + 1
+            partition = Partition.from_blocks(blocks_from_rgs(rgss[p]))
+            model = next(_models(n, partition, spec.atoms, (codes[offset],)))
+            hit = model, model.states[state]
             break
-        checked += len(codes)
+        checked += count
     stats = SearchStats(
         models_checked=checked,
         truncated=hit is None and checked < spec.total_count(),
@@ -287,9 +320,23 @@ def find_countermodel(
     return Verdict.found(formula, spec, stats, *hit)
 
 
-def _lowest_zero(mask: Mask, n: int) -> int:
-    gap = ~mask & ((1 << n) - 1)
-    return (gap & -gap).bit_length() - 1
+def _python_extensions(
+    formula: Formula,
+    n: int,
+    rgss: tuple[tuple[int, ...], ...],
+    atoms: tuple[str, ...],
+    codes: range,
+    words: int,
+) -> np.ndarray:
+    """The formula's extension in every model of a batch, evaluated model
+    by model through semantics.extension, packed into the kernel's
+    bit-sliced (P, n, words) layout."""
+    exts = np.zeros((len(rgss), words * 64), dtype=np.int64)
+    for p, rgs in enumerate(rgss):
+        partition = Partition.from_blocks(blocks_from_rgs(rgs))
+        models = _models(n, partition, atoms, codes)
+        exts[p, : len(codes)] = [extension(m, formula) for m in models]
+    return kernels.pack_extensions(exts, n)
 
 
 def check_equivalence(

@@ -237,8 +237,10 @@ class TestCountermodel:
     def test_kernel_fault_is_an_internal_error(self, capsys, monkeypatch):
         # a kernel that clears state x0 in every model reports a witness the
         # literal re-check refutes: a fault of the program, not of the input
-        def faulty(program, sbm, vals):
-            return eval_chunk(program, sbm, vals) & ~1
+        def faulty(program, planes, same):
+            out = eval_chunk(program, planes, same).copy()
+            out[:, 0, :] = 0
+            return out
 
         monkeypatch.setattr(kernels, "eval_chunk", faulty)
         code, out, err = run(capsys, "countermodel", "p -> S p")

@@ -26,7 +26,7 @@ from expertlogic.formula import (
     subformulas,
     to_knowledge_form,
 )
-from expertlogic.kernels import compile_program, eval_chunk
+from expertlogic.kernels import atom_planes, compile_program, eval_chunk, same_block
 from expertlogic.model import ExpertiseModel, Partition
 from expertlogic.semantics import extension, holds
 
@@ -115,16 +115,21 @@ def test_shared_formula_compiles_to_one_op_per_node():
     f = parse(SHARED)
     prog = compile_program(f, tuple(SHARED_ATOMS))
     assert len(prog.ops) == 145
-    # 32 seeded valuations of the 19 atoms over two states, in one block
-    vals = np.random.default_rng(0).integers(0, 4, size=(32, len(SHARED_ATOMS)))
-    out = eval_chunk(prog, np.asarray([0b11, 0b11], dtype=np.int64), vals)
-    for row, ext in zip(vals.tolist(), out.tolist()):
+    # 32 seeded valuations of the 19 atoms over two states, in one block:
+    # the bits of one seeded word of the 2^38 codes
+    rng = np.random.default_rng(0)
+    first = int(rng.integers(0, 1 << 32))
+    planes = atom_planes(2, len(SHARED_ATOMS), first, 1)
+    out = eval_chunk(prog, planes, same_block([(0, 0)]))
+    for t in rng.choice(64, size=32, replace=False).tolist():
+        code = first * 64 + t
         model = ExpertiseModel(
             ("x0", "x1"),
             Partition.from_blocks([0b11]),
-            tuple(zip(SHARED_ATOMS, row)),
+            tuple((a, (code >> (2 * j)) & 0b11) for j, a in enumerate(SHARED_ATOMS)),
         )
-        assert ext == extension(model, f)
+        rows = np.broadcast_to(out, (1, 2, 1))[0, :, 0].tolist()
+        assert sum((r >> t & 1) << i for i, r in enumerate(rows)) == extension(model, f)
 
 
 def test_intern_table_holds_nodes_weakly():

@@ -1,7 +1,10 @@
 """The compiled batch kernel against the reference evaluators.
 
 eval_chunk must agree bit for bit with the pure-Python evaluators in
-semantics on every model it can express.
+semantics on every model it can express: bit t of word w in row i of
+partition p is state i under that partition and the valuation code
+64 * (first + w) + t, where atom j's extension is bits [j*n, (j+1)*n) of
+the code.
 """
 
 import hypothesis.strategies as st
@@ -9,15 +12,17 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from expertlogic.formula import And, Atom, parse, to_knowledge_form
+from expertlogic.formula import And, Atom, parse, subformulas, to_knowledge_form
 from expertlogic.kernels import (
     OP_AND,
     OP_ATOM,
     OP_E,
     OP_NOT,
     OP_S,
+    atom_planes,
     compile_program,
     eval_chunk,
+    same_block,
 )
 from expertlogic.model import ExpertiseModel, Partition, to_s5_model
 from expertlogic.proofs import PHI
@@ -50,19 +55,27 @@ def _states(n):
     return tuple(f"x{i}" for i in range(n))
 
 
-def _partition_from_sets(blocks, states):
-    index = {s: i for i, s in enumerate(states)}
-    masks = []
-    for block in blocks:
-        m = 0
-        for s in block:
-            m |= 1 << index[s]
-        masks.append(m)
-    return Partition.from_blocks(masks)
+def _model(n, rgs, atoms, code):
+    blocks: dict[int, int] = {}
+    for i, label in enumerate(rgs):
+        blocks[label] = blocks.get(label, 0) | 1 << i
+    full = (1 << n) - 1
+    valuation = tuple((a, (code >> (j * n)) & full) for j, a in enumerate(atoms))
+    return ExpertiseModel(_states(n), Partition.from_blocks(blocks.values()), valuation)
 
 
-def _sbm(partition, n):
-    return np.asarray([partition.block_of(1 << i) for i in range(n)], dtype=np.int64)
+def _extension_at(out, p, w, t):
+    """The extension held by bit t of word w in partition p of a kernel
+    result, as a state mask (rows and partitions may be broadcast)."""
+    rows = out[p if out.shape[0] > 1 else 0, :, w].tolist()
+    if len(rows) == 1:
+        return -(rows[0] >> t & 1)  # every state or none
+    return sum((r >> t & 1) << i for i, r in enumerate(rows))
+
+
+def _run(prog, n, rgss, first, words):
+    planes = atom_planes(n, len(prog.atom_order), first, words)
+    return eval_chunk(prog, planes, same_block(rgss))
 
 
 class TestCompile:
@@ -113,50 +126,67 @@ class TestCompile:
         prog = compile_program(parse("E S p"), ("p",))
         assert [op for op, _, _ in prog.ops] == [OP_ATOM, OP_S, OP_E]
 
+    def test_slots_are_freed_by_their_last_reader(self):
+        # p, q, p & q, q & (p & q), p & (q & (p & q)): p is last read by
+        # op 4, q by op 3, p & q by op 3, q & (p & q) by op 4
+        prog = compile_program(parse("p & (q & (p & q))"), ("p", "q"))
+        assert [sorted(f) for f in prog.frees] == [[], [], [], [1, 2], [0, 3]]
+
+
+@given(formulas(("p", "q", "r"), with_k=False))
+def test_every_slot_but_the_root_is_freed_once_after_its_last_read(f):
+    prog = compile_program(f, ("p", "q", "r"))
+    last = {}
+    for t, (op, a, b) in enumerate(prog.ops):
+        if op != OP_ATOM:
+            last[a] = last[b] = t
+    freed = sorted(s for frees in prog.frees for s in frees)
+    assert freed == sorted(last)
+    assert len(prog.ops) - 1 not in freed
+    for t, frees in enumerate(prog.frees):
+        assert all(last[s] == t for s in frees)
+    assert len(prog.ops) == len(list(subformulas(f)))
+
 
 class TestAgainstSemantics:
     def test_matches_extension_on_all_tiny_models(self):
-        atoms = ("p", "q")
-        programs = [compile_program(parse(t), atoms) for t in BATTERY]
+        """All partitions of up to 3 states as one batch each, over {p, q}:
+        4 and 16 codes leave most of the word past the code space, 64
+        fill it."""
         for n in (1, 2, 3):
-            states = _states(n)
-            codes = np.arange(1 << (n * len(atoms)), dtype=np.int64)
-            shifts = np.asarray([j * n for j in range(len(atoms))], dtype=np.int64)
-            full = (1 << n) - 1
-            vals = (codes[:, None] >> shifts[None, :]) & full
-            for blocks in ref_partitions(set(states)):
-                partition = _partition_from_sets(blocks, states)
-                sbm = _sbm(partition, n)
-                models = [
-                    ExpertiseModel(
-                        states,
-                        partition,
-                        tuple(
-                            (a, int(vals[m, j])) for j, a in enumerate(atoms)
-                        ),
-                    )
-                    for m in range(len(codes))
-                ]
-                for text, prog in zip(BATTERY, programs):
-                    out = eval_chunk(prog, sbm, vals)
-                    f = parse(text)
-                    for m, model in enumerate(models):
-                        assert out[m] == extension(model, f), (
-                            text,
-                            n,
-                            blocks,
-                            int(vals[m, 0]),
-                            int(vals[m, 1]),
-                        )
+            self._check_window(n, 0, 1)
+
+    @pytest.mark.parametrize("first, words", [(0, 4), (2, 2), (3, 1)])
+    def test_matches_extension_on_a_multi_word_window(self, first, words):
+        # 4 states over {p, q}: 256 codes, 4 words
+        self._check_window(4, first, words)
+
+    def _check_window(self, n, first, words):
+        """Every partition of n states in one batch, every code of the
+        window, every formula of the battery."""
+        atoms = ("p", "q")
+        states = _states(n)
+        rgss = [
+            _canonical([next(j for j, b in enumerate(blocks) if s in b) for s in states])
+            for blocks in ref_partitions(set(states))
+        ]
+        codes = range(first * 64, min(1 << (n * len(atoms)), (first + words) * 64))
+        models = [[_model(n, rgs, atoms, c) for c in codes] for rgs in rgss]
+        for text in BATTERY:
+            f = parse(text)
+            out = _run(compile_program(f, atoms), n, rgss, first, words)
+            for p, row in enumerate(models):
+                for c, model in zip(codes, row):
+                    w, t = divmod(c - first * 64, 64)
+                    assert _extension_at(out, p, w, t) & model.full_mask == extension(
+                        model, f
+                    ), (text, rgss[p], c)
 
     def test_repeated_runs_are_identical(self):
         prog = compile_program(parse("E (p -> q) -> E p -> E q"), ("p", "q"))
-        states = _states(3)
-        partition = _partition_from_sets([{"x0", "x1"}, {"x2"}], states)
-        sbm = _sbm(partition, 3)
-        vals = (np.arange(64, dtype=np.int64)[:, None] >> np.asarray([0, 3])) & 7
-        first = eval_chunk(prog, sbm, vals)
-        second = eval_chunk(prog, sbm, vals)
+        rgss = [(0, 0, 1), (0, 1, 2)]
+        first = _run(prog, 3, rgss, 0, 1)
+        second = _run(prog, 3, rgss, 0, 1)
         assert np.array_equal(first, second)
 
 
@@ -165,26 +195,37 @@ ATOMS = ("p", "q", "r")
 
 @st.composite
 def batches(draw):
-    """(n <= 3, a random partition of n states, a few valuation rows over
-    ATOMS)."""
+    """(n <= 3, a few partitions of n states as restricted growth strings,
+    a window of the code space over ATOMS, and some codes in it).  Code
+    spaces of 8 and 64 codes fit one word; 512 codes take 8 words."""
     n = draw(st.integers(1, 3))
-    labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
-    blocks: dict[int, int] = {}
-    for i, label in enumerate(labels):
-        blocks[label] = blocks.get(label, 0) | 1 << i
-    row = st.lists(st.integers(0, (1 << n) - 1), min_size=len(ATOMS), max_size=len(ATOMS))
-    vals = draw(st.lists(row, min_size=1, max_size=8))
-    return n, Partition.from_blocks(list(blocks.values())), np.asarray(vals, dtype=np.int64)
+    rgs = st.lists(st.integers(0, n - 1), min_size=n, max_size=n).map(_canonical)
+    rgss = draw(st.lists(rgs, min_size=1, max_size=4))
+    total_words = max(1, (1 << (n * len(ATOMS))) >> 6)
+    first = draw(st.integers(0, total_words - 1))
+    words = draw(st.integers(1, total_words - first))
+    size = min(1 << (n * len(ATOMS)), words * 64)
+    codes = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=8))
+    return n, rgss, first, words, codes
+
+
+def _canonical(labels):
+    """The restricted growth string of the partition the labels induce."""
+    seen: dict[int, int] = {}
+    return tuple(seen.setdefault(label, len(seen)) for label in labels)
 
 
 @given(formulas(ATOMS, with_k=False), batches())
 def test_eval_chunk_matches_both_evaluators(f, batch):
     """Bit for bit against the literal clauses and against the knowledge
     form on the induced relational model."""
-    n, partition, vals = batch
-    out = eval_chunk(compile_program(f, ATOMS), _sbm(partition, n), vals)
+    n, rgss, first, words, offsets = batch
+    out = _run(compile_program(f, ATOMS), n, rgss, first, words)
+    assert out.shape[2] == words and out.shape[0] in (1, len(rgss))
     knowledge = to_knowledge_form(f)
-    for row, ext in zip(vals.tolist(), out.tolist()):
-        model = ExpertiseModel(_states(n), partition, tuple(zip(ATOMS, row)))
-        assert ext == extension(model, f, mode="literal")
-        assert ext == extension_relational(to_s5_model(model), knowledge)
+    for p, rgs in enumerate(rgss):
+        for offset in offsets:
+            model = _model(n, rgs, ATOMS, first * 64 + offset)
+            ext = _extension_at(out, p, *divmod(offset, 64)) & model.full_mask
+            assert ext == extension(model, f, mode="literal")
+            assert ext == extension_relational(to_s5_model(model), knowledge)

@@ -8,10 +8,13 @@ shows up as a changed witness, not just a changed runtime.
 
 import json
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+from expertlogic import kernels
 from expertlogic.formula import parse, render
-from expertlogic.model import model_to_dict
+from expertlogic.model import Partition, model_to_dict
 from expertlogic.semantics import extension
 from expertlogic.validity import (
     ENGINES,
@@ -30,6 +33,7 @@ from expertlogic.validity import (
 )
 
 from reference import ref_partitions
+from strategies import formulas
 
 
 class TestCounting:
@@ -208,14 +212,140 @@ class TestSearch:
             assert verdict.stats.truncated is truncated
 
     def test_limit_inside_a_partition_spanning_several_ranges(self):
-        # size 6 over three atoms has 2^18 valuations per partition, so
-        # each of its partitions spans four ranges; the cut falls in the
-        # third range of the first one
+        # size 6 over three atoms has 2^18 valuations per partition (4,096
+        # words), so each of its partitions spans two windows of 2,730
+        # words; the cut falls in the first window of the first one
         spec = EnumerationSpec(6, ("p", "q", "r"), limit=1_900_000)
         verdict = find_countermodel(parse("p -> S p"), spec, "numpy")
         assert verdict.status == "valid-up-to-bound"
         assert verdict.stats.models_checked == 1_900_000
         assert verdict.stats.truncated
+
+    def test_limit_in_the_second_window_of_a_partition(self):
+        # 1,768,072 models of up to 5 states, then the first 6-state
+        # partition's first window of 2,730 words (174,720 codes)
+        limit = 1_768_072 + 174_720 + 1_000
+        spec = EnumerationSpec(6, ("p", "q", "r"), limit=limit)
+        verdict = find_countermodel(parse("p -> S p"), spec, "numpy")
+        assert verdict.stats.models_checked == limit
+        assert verdict.stats.truncated
+
+    def test_witness_in_the_second_window_of_a_later_partition(self):
+        # refuting it needs r everywhere, a block with all four p/q types
+        # and a second block of two: first at 6 states in the fourth
+        # partition, [[x0..x3], [x4, x5]], with r's code bits all set, so
+        # in the second window of 2,730 words: 1,768,072 + 3 * 2^18 + 258,262
+        text = (
+            "~(A r & S (p & q) & S (p & ~q) & S (~p & q) & S (~p & ~q)"
+            " & ~A S (p & q) & ~E (p | q | S (p & q)))"
+        )
+        for limit in (None, 2_812_766, 2_812_765):
+            spec = EnumerationSpec(6, ("p", "q", "r"), limit=limit)
+            verdict = find_countermodel(parse(text), spec, "numpy")
+            if limit == 2_812_765:
+                assert verdict.status == "valid-up-to-bound"
+                assert verdict.stats.models_checked == limit
+                continue
+            assert verdict.stats.models_checked == 2_812_766
+            doc = model_to_dict(verdict.witness_model)
+            assert doc["partition"] == [["x0", "x1", "x2", "x3"], ["x4", "x5"]]
+            assert doc["valuation"]["r"] == ["x0", "x1", "x2", "x3", "x4", "x5"]
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("into", [63, 64, 65])
+    def test_limit_at_a_word_boundary_of_a_multi_word_size(self, engine, into):
+        # over {p, q, r}, sizes 1 and 2 hold 8 + 128 models; a 3-state
+        # partition has 512 codes, 8 words of 64
+        spec = EnumerationSpec(3, ("p", "q", "r"), limit=136 + into)
+        verdict = find_countermodel(parse("p -> S p"), spec, engine)
+        assert verdict.status == "valid-up-to-bound"
+        assert verdict.stats.models_checked == 136 + into
+        assert verdict.stats.truncated
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_witness_in_a_later_word_of_a_later_partition(self, engine):
+        # refuting it needs p nonempty, two blocks and a block r splits:
+        # first in partition [[x0, x1], [x2]] (the second of size 3) at
+        # p = r = {x0}, code 1 + 64 (word 1, bit 1): model 136 + 512 + 66
+        witness = {
+            "states": ["x0", "x1", "x2"],
+            "partition": [["x0", "x1"], ["x2"]],
+            "valuation": {"p": ["x0"], "q": [], "r": ["x0"]},
+        }
+        for limit in (None, 714, 713):
+            spec = EnumerationSpec(3, ("p", "q", "r"), limit=limit)
+            verdict = find_countermodel(parse("A S p | E r | A ~p"), spec, engine)
+            if limit == 713:
+                assert verdict.status == "valid-up-to-bound"
+                assert verdict.stats.truncated
+            else:
+                assert model_to_dict(verdict.witness_model) == witness
+                assert verdict.witness_state == "x0"
+            assert verdict.stats.models_checked == (713 if limit == 713 else 714)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_limit_inside_a_batch_of_several_partitions(self, engine):
+        # over {p, q}, the five 3-state partitions (64 codes each) are one
+        # batch after the 36 smaller models; this formula's first
+        # countermodel is model 36 + 64 + 10, in the batch's second
+        # partition, and a limit in its fourth leaves it found
+        text = "A S p | E q | A ~p"
+        for limit, checked in ((None, 110), (110, 110), (36 + 64 * 3 + 10, 110)):
+            spec = EnumerationSpec(3, ("p", "q"), limit=limit)
+            verdict = find_countermodel(parse(text), spec, engine)
+            assert verdict.status == "countermodel-found"
+            assert model_to_dict(verdict.witness_model)["partition"] == [
+                ["x0", "x1"],
+                ["x2"],
+            ]
+            assert verdict.stats.models_checked == checked
+        spec = EnumerationSpec(3, ("p", "q"), limit=109)
+        verdict = find_countermodel(parse(text), spec, engine)
+        assert verdict.status == "valid-up-to-bound"
+        assert verdict.stats.models_checked == 109
+        assert verdict.stats.truncated
+        # cuts in the batch's second and third partitions
+        for limit in (109, 36 + 64 * 2 + 10):
+            spec = EnumerationSpec(3, ("p", "q"), limit=limit)
+            verdict = find_countermodel(parse("p -> S p"), spec, engine)
+            assert verdict.status == "valid-up-to-bound"
+            assert verdict.stats.models_checked == limit
+            assert verdict.stats.truncated
+
+    def test_no_kernel_slot_exceeds_the_budget(self, monkeypatch):
+        # a slot is partitions x states x words of the batch; 16,384 words
+        # (128 KiB) bound the kernel's memory however large the search
+        slots = []
+        eval_chunk = kernels.eval_chunk
+
+        def guarded(program, planes, same):
+            out = eval_chunk(program, planes, same)
+            slots.append(same.shape[0] * planes.shape[1] * planes.shape[2])
+            assert out.size <= slots[-1]
+            return out
+
+        monkeypatch.setattr(kernels, "eval_chunk", guarded)
+        spec = EnumerationSpec(6, ("p", "q", "r"))
+        verdict = find_countermodel(parse("p -> S p"), spec, "numpy")
+        assert verdict.stats.models_checked == spec.total_count()
+        assert max(slots) <= 16_384
+        # sizes 1-5 batch several partitions, size 6 takes two windows per
+        # partition: 1 + 1 + 1 + 1 + 9 + 203 * 2 calls
+        assert len(slots) == 419
+
+    def test_python_engine_builds_each_partition_once(self, monkeypatch):
+        built = []
+        from_blocks = Partition.from_blocks.__func__
+
+        def counted(cls, blocks):
+            built.append(blocks)
+            return from_blocks(cls, blocks)
+
+        monkeypatch.setattr(Partition, "from_blocks", classmethod(counted))
+        spec = EnumerationSpec(3, ("p", "q"))
+        verdict = find_countermodel(parse("p -> S p"), spec, "python")
+        assert verdict.stats.models_checked == 356
+        assert len(built) == 1 + 2 + 5
 
     def test_limit_before_witness_misses_it(self):
         spec = EnumerationSpec(2, ("p",), limit=3)
@@ -314,6 +444,34 @@ class TestVerdict:
         assert doc["status"] == "valid-up-to-bound"
 
 
+@st.composite
+def searches(draw):
+    """A formula over 1-3 atoms and a bound of 1-4 states; a limit of at
+    most 2,500 models where the bound holds more, so the python engine
+    stays quick."""
+    atoms = ("p", "q", "r")[: draw(st.integers(1, 3))]
+    n = draw(st.integers(1, 4))
+    f = draw(formulas(atoms, with_k=False, max_leaves=8))
+    total = EnumerationSpec(n, atoms).total_count()
+    if total > 2_500:
+        limit = draw(st.integers(1, 2_500))
+    else:
+        limit = draw(st.none() | st.integers(1, total))
+    return f, EnumerationSpec(n, atoms, limit)
+
+
+@settings(max_examples=60, deadline=None)
+@given(searches())
+def test_engines_give_equal_reports(case):
+    f, spec = case
+    reports = []
+    for engine in ENGINES:
+        doc = find_countermodel(f, spec, engine).to_report()
+        assert doc.pop("engine") == engine
+        reports.append(doc)
+    assert reports[0] == reports[1]
+
+
 class TestWitnessIsEnumerationLeast:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_first_falsifying_model_in_order(self, engine):
@@ -330,6 +488,25 @@ class TestWitnessIsEnumerationLeast:
                     assert model_to_dict(model) == model_to_dict(verdict.witness_model)
                     return
         pytest.fail("expected a countermodel in the sweep")
+
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_partitions_come_before_words(self, engine):
+        # the formula fails only where p splits every block, q meets every
+        # block and p & q misses one: 4 states in two blocks of two.  The
+        # first such partition, [[x0, x1], [x2, x3]], needs q at x2 or x3
+        # (a code in word 1 or later); a later one, [[x0, x2], [x1, x3]],
+        # fails at word 0.  The search answers with the first partition.
+        text = "~(A (S p & S ~p) & A S q & ~A S (p & q) & ~A ~S (p & q))"
+        verdict = find_countermodel(parse(text), EnumerationSpec(4, ("p", "q")), engine)
+        # 356 smaller models, three partitions of 256 codes, then code 86
+        assert verdict.stats.models_checked == 356 + 3 * 256 + 87
+        assert model_to_dict(verdict.witness_model) == {
+            "states": ["x0", "x1", "x2", "x3"],
+            "partition": [["x0", "x1"], ["x2", "x3"]],
+            "valuation": {"p": ["x1", "x2"], "q": ["x0", "x2"]},
+        }
+        assert verdict.witness_state == "x0"
 
 
 class TestCorpus:
