@@ -150,7 +150,14 @@ def same_block(rgss) -> np.ndarray:
 
 
 def _saturate(f: np.ndarray, same: np.ndarray) -> np.ndarray:
-    return np.bitwise_or.reduce(same[:, :, :, None] & f[:, None, :, :], axis=2)
+    # one column of the mask at a time, so no temporary outgrows a slot;
+    # a slot with one row is the same at every state, hence its own closure
+    if f.shape[1] == 1:
+        return f
+    out = same[:, :, 0, None] & f[:, None, 0]
+    for j in range(1, f.shape[1]):
+        out |= same[:, :, j, None] & f[:, None, j]
+    return out
 
 
 def eval_chunk(program: Program, planes: np.ndarray, same: np.ndarray) -> np.ndarray:

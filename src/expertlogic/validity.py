@@ -21,11 +21,12 @@ holds at most _BUDGET words.  find_countermodel is one loop over those
 batches; the engines differ only in how they compute the formula's
 extension in each model of a batch, both in the bit-sliced layout of
 .kernels: 'numpy' (the default) runs the compiled kernel, 'python'
-builds each ExpertiseModel, evaluates it through .semantics and packs
-the result, and is the reference the tests compare the kernel with.  The
-loop then takes the least falsifying model of the batch, partition-major
-and then by code, which is the enumeration order, so the verdict does
-not depend on the batch shape.  Every witness found is re-verified with
+builds each ExpertiseModel, evaluates it through .semantics up to the
+batch's first falsifying model and packs the results, and is the
+reference the tests compare the kernel with.  The loop then takes the
+least falsifying model of the batch, partition-major and then by code,
+which is the enumeration order, so the verdict does not depend on the
+batch shape.  Every witness found is re-verified with
 the literal-clause evaluator before the Verdict is built, so a kernel bug
 cannot produce a bogus countermodel.
 """
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cache
 from itertools import islice
 from typing import Iterable, Iterator
 
@@ -145,7 +145,6 @@ def _models(
         yield ExpertiseModel(states, partition, valuation)
 
 
-@cache
 def _layout(n: int, k: int) -> tuple[int, int]:
     """(partitions per batch, words per window) for size n over k atoms.
     A code space that fits the budget n times or more is batched whole,
@@ -282,10 +281,10 @@ def find_countermodel(
     """First model in enumeration order falsifying the formula, if any.
 
     The witness state is the least state of that model where the formula
-    fails.  Each batch of models from _ranges is evaluated whole, by the
-    kernel (numpy) or model by model (python), and then reduced to its
-    least falsifying model, so the result is identical across engines and
-    batch shapes.  compile_program is the input check for both engines.
+    fails.  Each batch of models from _ranges is evaluated, whole by the
+    kernel (numpy) or model by model up to the first falsifying one
+    (python), and then reduced to its least falsifying model, so the
+    result is identical across engines and batch shapes.  compile_program is the input check for both engines.
     """
     started = time.perf_counter()
     program = kernels.compile_program(formula, spec.atoms)
@@ -298,7 +297,9 @@ def find_countermodel(
             planes = kernels.atom_planes(n, len(spec.atoms), codes.start >> 6, words)
             out = kernels.eval_chunk(program, planes, kernels.same_block(rgss))
         else:
-            out = _python_extensions(formula, n, rgss, spec.atoms, codes, words)
+            out = _python_extensions(
+                formula, n, rgss, spec.atoms, codes, count, words
+            )
         found = kernels.first_failure(out, len(codes))
         if found is not None and found[0] < count:
             index, state = found
@@ -326,16 +327,24 @@ def _python_extensions(
     rgss: tuple[tuple[int, ...], ...],
     atoms: tuple[str, ...],
     codes: range,
+    count: int,
     words: int,
 ) -> np.ndarray:
-    """The formula's extension in every model of a batch, evaluated model
+    """The formula's extension in the models of a batch, evaluated model
     by model through semantics.extension, packed into the kernel's
-    bit-sliced (P, n, words) layout."""
-    exts = np.zeros((len(rgss), words * 64), dtype=np.int64)
+    bit-sliced (P, n, words) layout.  Evaluation stops at the first of the
+    batch's `count` models that falsifies the formula; the models it does
+    not reach are packed as holding, so that model stays the least
+    falsifying one."""
+    full = (1 << n) - 1
+    exts = np.full((len(rgss), words * 64), full, dtype=np.int64)
     for p, rgs in enumerate(rgss):
         partition = Partition.from_blocks(blocks_from_rgs(rgs))
-        models = _models(n, partition, atoms, codes)
-        exts[p, : len(codes)] = [extension(m, formula) for m in models]
+        taken = codes[: count - p * len(codes)]
+        for i, model in enumerate(_models(n, partition, atoms, taken)):
+            exts[p, i] = ext = extension(model, formula)
+            if ext != full:
+                return kernels.pack_extensions(exts, n)
     return kernels.pack_extensions(exts, n)
 
 

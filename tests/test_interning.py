@@ -115,13 +115,14 @@ def test_shared_formula_compiles_to_one_op_per_node():
     f = parse(SHARED)
     prog = compile_program(f, tuple(SHARED_ATOMS))
     assert len(prog.ops) == 145
-    # 32 seeded valuations of the 19 atoms over two states, in one block:
-    # the bits of one seeded word of the 2^38 codes
+    # 32 independently seeded valuations of the 19 atoms over two states,
+    # in one block: each a seeded word of the 2^38 codes and a seeded bit
     rng = np.random.default_rng(0)
-    first = int(rng.integers(0, 1 << 32))
-    planes = atom_planes(2, len(SHARED_ATOMS), first, 1)
-    out = eval_chunk(prog, planes, same_block([(0, 0)]))
-    for t in rng.choice(64, size=32, replace=False).tolist():
+    same = same_block([(0, 0)])
+    for _ in range(32):
+        first = int(rng.integers(0, 1 << 32))
+        t = int(rng.integers(0, 64))
+        out = eval_chunk(prog, atom_planes(2, len(SHARED_ATOMS), first, 1), same)
         code = first * 64 + t
         model = ExpertiseModel(
             ("x0", "x1"),

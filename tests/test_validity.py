@@ -12,7 +12,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from expertlogic import kernels
+from expertlogic import kernels, validity
 from expertlogic.formula import parse, render
 from expertlogic.model import Partition, model_to_dict
 from expertlogic.semantics import extension
@@ -346,6 +346,27 @@ class TestSearch:
         verdict = find_countermodel(parse("p -> S p"), spec, "python")
         assert verdict.stats.models_checked == 356
         assert len(built) == 1 + 2 + 5
+
+    def test_python_engine_evaluates_only_the_models_it_checks(self, monkeypatch):
+        # it stops at the first countermodel of a batch, and at the limit,
+        # not at the end of the batch: here both fall inside the five
+        # 3-state partitions of one batch over {p, q}
+        evaluated = []
+
+        def counted(model, formula):
+            evaluated.append(model)
+            return extension(model, formula)
+
+        monkeypatch.setattr(validity, "extension", counted)
+        for text, limit, checked in (
+            ("A S p | E q | A ~p", None, 110),
+            ("p -> S p", 109, 109),
+        ):
+            evaluated.clear()
+            spec = EnumerationSpec(3, ("p", "q"), limit=limit)
+            verdict = find_countermodel(parse(text), spec, "python")
+            assert verdict.stats.models_checked == checked
+            assert len(evaluated) == checked
 
     def test_limit_before_witness_misses_it(self):
         spec = EnumerationSpec(2, ("p",), limit=3)
