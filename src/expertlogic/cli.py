@@ -28,7 +28,6 @@ import json
 import sys
 
 from .formula import (
-    FormulaSyntaxError,
     atom_names,
     eliminate_expertise,
     parse,
@@ -37,8 +36,6 @@ from .formula import (
     to_knowledge_form,
 )
 from .model import (
-    ModelFormatError,
-    RelationError,
     load_model,
     model_to_dict,
     relational_to_dict,
@@ -46,7 +43,6 @@ from .model import (
     to_s5_model,
 )
 from .proofs import (
-    DerivationFormatError,
     E_DISTRIBUTION,
     SCHEMAS,
     check_derivation,
@@ -272,15 +268,17 @@ def cmd_check_proof(args) -> int:
 
 
 def cmd_soundness_sweep(args) -> int:
-    if args.schemas:
+    if args.schemas is not None:
         chosen = []
-        for name in _parse_atoms(args.schemas.replace(" ", ",")) or ():
+        for name in _parse_atoms(args.schemas.replace(" ", ",")):
             if name == E_DISTRIBUTION.name:
                 chosen.append(E_DISTRIBUTION)
             elif name in SCHEMAS:
                 chosen.append(SCHEMAS[name])
             else:
                 raise UsageError(f"unknown schema {name!r}")
+        if not chosen:
+            raise UsageError(f"--schemas {args.schemas!r} names no schema")
     else:
         chosen = list(SCHEMAS.values())
     if args.with_e_distribution and E_DISTRIBUTION not in chosen:
@@ -426,15 +424,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        UsageError,
-        FormulaSyntaxError,
-        ModelFormatError,
-        DerivationFormatError,
-        RelationError,
-        ValueError,
-        OSError,
-    ) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RuntimeError as e:

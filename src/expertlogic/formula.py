@@ -251,7 +251,7 @@ def _tokenize(text: str) -> list[_Token]:
             i += 1
             continue
         if c in "()~&|":
-            tokens.append(_Token(c if c in "()" else c, c, i))
+            tokens.append(_Token(c, c, i))
             i += 1
             continue
         if c == "-":

@@ -35,8 +35,7 @@ Opcodes, as (opcode, a, b) with slot[a] and slot[b] the operands::
 Unary ops repeat their operand in b.  Bits of a word past the end of the
 code space are evaluated like any other; first_failure, which reduces a
 root slot to the least falsified model and its least falsified state,
-ignores them.  pack_extensions puts extensions computed elsewhere into
-the same layout.  The test suite pins the kernel to the pure-Python
+ignores them.  The test suite pins the kernel to the pure-Python
 evaluators in semantics.
 """
 
@@ -204,10 +203,3 @@ def first_failure(out: np.ndarray, per: int) -> tuple[int, int] | None:
     rows = out[p, :, w].tolist()
     return p * per + w * 64 + t, next(i for i, r in enumerate(rows) if not r >> t & 1)
 
-
-def pack_extensions(exts: np.ndarray, n: int) -> np.ndarray:
-    """Extensions as state masks, one row of 64 * W codes per partition,
-    in the layout of a (P, n, W) slot."""
-    bits = (exts[:, None, :] >> np.arange(n)[:, None]) & 1
-    packed = np.packbits(bits.astype(np.uint8), axis=-1, bitorder="little")
-    return packed.view("<u8")

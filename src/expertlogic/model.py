@@ -105,7 +105,7 @@ class Partition:
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Mask]) -> "Partition":
-        blocks = [b for b in blocks]
+        blocks = list(blocks)
         if any(b == 0 for b in blocks):
             raise ModelFormatError("partition blocks must be nonempty")
         union = 0
@@ -367,15 +367,28 @@ def from_s5_model(rmodel: RelationalModel) -> ExpertiseModel:
 
 # --- JSON input/output -------------------------------------------------------
 
+def _names(value, what: str) -> list[str]:
+    """`value` if it is an array of state names; a string is not one."""
+    if not isinstance(value, (list, tuple)):
+        raise ModelFormatError(f"{what} must be an array of state names")
+    if not all(isinstance(s, str) for s in value):
+        raise ModelFormatError("state names must be strings")
+    return value
+
+
+def _name_lists(value, what: str) -> list[list[str]]:
+    if not isinstance(value, (list, tuple)):
+        raise ModelFormatError(f"{what} must be an array of arrays of state names")
+    return [_names(v, f"each member of {what}") for v in value]
+
+
 def model_from_dict(doc: Mapping) -> ExpertiseModel:
     if not isinstance(doc, Mapping):
         raise ModelFormatError("model document must be a JSON object")
     try:
-        states = tuple(doc["states"])
+        states = tuple(_names(doc["states"], "'states'"))
     except KeyError:
         raise ModelFormatError("model document lacks 'states'") from None
-    if not all(isinstance(s, str) for s in states):
-        raise ModelFormatError("state names must be strings")
     _check_states(states)
 
     has_partition = "partition" in doc
@@ -385,12 +398,18 @@ def model_from_dict(doc: Mapping) -> ExpertiseModel:
             "model document needs exactly one of 'partition' or 'expertise'"
         )
     if has_partition:
-        blocks = [mask_of(block, states) for block in doc["partition"]]
+        blocks = [
+            mask_of(block, states)
+            for block in _name_lists(doc["partition"], "'partition'")
+        ]
         partition = Partition.from_blocks(blocks)
         if partition.universe != (1 << len(states)) - 1:
             raise ModelFormatError("partition must cover every state")
     else:
-        family = [mask_of(member, states) for member in doc["expertise"]]
+        family = [
+            mask_of(member, states)
+            for member in _name_lists(doc["expertise"], "'expertise'")
+        ]
         violations = verify_expertise_set(family, len(states))
         if violations:
             raise ExpertiseSetError(violations, states)
@@ -399,7 +418,10 @@ def model_from_dict(doc: Mapping) -> ExpertiseModel:
     raw_val = doc.get("valuation", {})
     if not isinstance(raw_val, Mapping):
         raise ModelFormatError("'valuation' must map atoms to state lists")
-    valuation = tuple((atom, mask_of(names, states)) for atom, names in raw_val.items())
+    valuation = tuple(
+        (atom, mask_of(_names(names, f"the valuation of {atom!r}"), states))
+        for atom, names in raw_val.items()
+    )
     return ExpertiseModel(states, partition, valuation)
 
 

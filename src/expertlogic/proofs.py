@@ -60,7 +60,7 @@ from .formula import (
     subformulas,
     FormulaSyntaxError,
 )
-from .validity import EnumerationSpec, Verdict, find_countermodel
+from .validity import EnumerationSpec, Verdict, find_countermodel, resolve_engine
 
 
 class Meta(Formula):
@@ -455,13 +455,12 @@ def soundness_sweep(
     started = time.perf_counter()
     schemas = list(schemas)
     corpus = tuple(corpus)
+    engine = resolve_engine(engine)
     checked = 0
     violations = []
-    resolved = None
     for schema in schemas:
         for substitution, instance in schema_instances(schema, corpus):
             verdict = find_countermodel(instance, spec, engine)
-            resolved = verdict.stats.engine
             checked += 1
             if verdict.status == "countermodel-found":
                 violations.append(SweepViolation(schema.name, substitution, verdict))
@@ -469,7 +468,7 @@ def soundness_sweep(
         schemas=tuple(s.name for s in schemas),
         corpus=corpus,
         spec=spec,
-        engine=resolved or "none",
+        engine=engine,
         instances_checked=checked,
         violations=tuple(violations),
         elapsed_s=time.perf_counter() - started,

@@ -18,17 +18,18 @@ with a window of valuation codes: either several partitions, each with
 its whole code space, or one partition and a window of its codes, sized
 so that one kernel slot (P partitions x n states x W words of 64 codes)
 holds at most _BUDGET words.  find_countermodel is one loop over those
-batches; the engines differ only in how they compute the formula's
-extension in each model of a batch, both in the bit-sliced layout of
-.kernels: 'numpy' (the default) runs the compiled kernel, 'python'
-builds each ExpertiseModel, evaluates it through .semantics up to the
-batch's first falsifying model and packs the results, and is the
-reference the tests compare the kernel with.  The loop then takes the
-least falsifying model of the batch, partition-major and then by code,
-which is the enumeration order, so the verdict does not depend on the
-batch shape.  Every witness found is re-verified with
-the literal-clause evaluator before the Verdict is built, so a kernel bug
-cannot produce a bogus countermodel.
+batches; the engines differ only in how they find a batch's first
+falsifying model, partition-major and then by code, which is the
+enumeration order, so the verdict does not depend on the batch shape.
+'numpy' (the default) runs the bit-sliced kernel of .kernels over the
+whole batch and reduces it with kernels.first_failure.  'python' is the
+reference the tests compare the kernel with: it decodes the batch's
+models one by one (_batch_models, which also decodes the witness) and
+evaluates each through .semantics until one fails, with no numpy and no
+kernel function but the input check, kernels.compile_program.  Every
+witness found is re-verified with the literal-clause evaluator before
+the Verdict is built, so a kernel bug cannot produce a bogus
+countermodel.
 """
 
 from __future__ import annotations
@@ -37,8 +38,6 @@ import time
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator
-
-import numpy as np
 
 from . import kernels
 from .formula import Formula, Iff, is_atom_name, parse, render
@@ -129,22 +128,6 @@ class EnumerationSpec:
         return sum(self.size_count(n) for n in range(1, self.n_states + 1))
 
 
-def _state_names(n: int) -> tuple[str, ...]:
-    return tuple(f"x{i}" for i in range(n))
-
-
-def _models(
-    n: int, partition: Partition, atoms: tuple[str, ...], codes: Iterable[int]
-) -> Iterator[ExpertiseModel]:
-    states = _state_names(n)
-    full = (1 << n) - 1
-    for code in codes:
-        valuation = tuple(
-            (atom, (code >> (j * n)) & full) for j, atom in enumerate(atoms)
-        )
-        yield ExpertiseModel(states, partition, valuation)
-
-
 def _layout(n: int, k: int) -> tuple[int, int]:
     """(partitions per batch, words per window) for size n over k atoms.
     A code space that fits the budget n times or more is batched whole,
@@ -186,14 +169,34 @@ def _ranges(
                 yield n, rgss, codes, count
 
 
+def _batch_models(
+    n: int,
+    rgss: tuple[tuple[int, ...], ...],
+    atoms: tuple[str, ...],
+    codes: range,
+    count: int,
+) -> Iterator[ExpertiseModel]:
+    """The first `count` models of a batch from _ranges, partition-major
+    and then by code, with one Partition built per partition."""
+    states = tuple(f"x{i}" for i in range(n))
+    full = (1 << n) - 1
+    for rgs in rgss:
+        partition = Partition.from_blocks(blocks_from_rgs(rgs))
+        for code in codes[:count]:
+            valuation = tuple(
+                (atom, (code >> (j * n)) & full) for j, atom in enumerate(atoms)
+            )
+            yield ExpertiseModel(states, partition, valuation)
+        count -= len(codes)
+        if count <= 0:
+            return
+
+
 def enumerate_models(spec: EnumerationSpec) -> Iterator[ExpertiseModel]:
     """All models with exactly spec.n_states states, in enumeration order;
     at most spec.limit of them."""
     for n, rgss, codes, count in _ranges(spec, (spec.n_states,)):
-        for p, rgs in enumerate(rgss):
-            partition = Partition.from_blocks(blocks_from_rgs(rgs))
-            taken = min(len(codes), count - p * len(codes))
-            yield from _models(n, partition, spec.atoms, codes[:taken])
+        yield from _batch_models(n, rgss, spec.atoms, codes, count)
 
 
 @dataclass(frozen=True)
@@ -281,10 +284,11 @@ def find_countermodel(
     """First model in enumeration order falsifying the formula, if any.
 
     The witness state is the least state of that model where the formula
-    fails.  Each batch of models from _ranges is evaluated, whole by the
-    kernel (numpy) or model by model up to the first falsifying one
-    (python), and then reduced to its least falsifying model, so the
-    result is identical across engines and batch shapes.  compile_program is the input check for both engines.
+    fails.  Each batch of models from _ranges is evaluated whole by the
+    kernel and reduced to its least falsifying model (numpy), or model by
+    model up to the first falsifying one (python), so the result is
+    identical across engines and batch shapes.  compile_program is the
+    input check for both engines.
     """
     started = time.perf_counter()
     program = kernels.compile_program(formula, spec.atoms)
@@ -292,21 +296,19 @@ def find_countermodel(
     checked = 0
     hit = None
     for n, rgss, codes, count in _ranges(spec, range(1, spec.n_states + 1)):
-        words = -(-len(codes) // 64)
         if engine == "numpy":
+            words = -(-len(codes) // 64)
             planes = kernels.atom_planes(n, len(spec.atoms), codes.start >> 6, words)
             out = kernels.eval_chunk(program, planes, kernels.same_block(rgss))
+            found = kernels.first_failure(out, len(codes))
         else:
-            out = _python_extensions(
-                formula, n, rgss, spec.atoms, codes, count, words
-            )
-        found = kernels.first_failure(out, len(codes))
+            models = _batch_models(n, rgss, spec.atoms, codes, count)
+            found = _python_first_failure(formula, models)
         if found is not None and found[0] < count:
             index, state = found
             p, offset = divmod(index, len(codes))
             checked += index + 1
-            partition = Partition.from_blocks(blocks_from_rgs(rgss[p]))
-            model = next(_models(n, partition, spec.atoms, (codes[offset],)))
+            model = next(_batch_models(n, rgss[p:], spec.atoms, codes[offset:], 1))
             hit = model, model.states[state]
             break
         checked += count
@@ -321,31 +323,17 @@ def find_countermodel(
     return Verdict.found(formula, spec, stats, *hit)
 
 
-def _python_extensions(
-    formula: Formula,
-    n: int,
-    rgss: tuple[tuple[int, ...], ...],
-    atoms: tuple[str, ...],
-    codes: range,
-    count: int,
-    words: int,
-) -> np.ndarray:
-    """The formula's extension in the models of a batch, evaluated model
-    by model through semantics.extension, packed into the kernel's
-    bit-sliced (P, n, words) layout.  Evaluation stops at the first of the
-    batch's `count` models that falsifies the formula; the models it does
-    not reach are packed as holding, so that model stays the least
-    falsifying one."""
-    full = (1 << n) - 1
-    exts = np.full((len(rgss), words * 64), full, dtype=np.int64)
-    for p, rgs in enumerate(rgss):
-        partition = Partition.from_blocks(blocks_from_rgs(rgs))
-        taken = codes[: count - p * len(codes)]
-        for i, model in enumerate(_models(n, partition, atoms, taken)):
-            exts[p, i] = ext = extension(model, formula)
-            if ext != full:
-                return kernels.pack_extensions(exts, n)
-    return kernels.pack_extensions(exts, n)
+def _python_first_failure(
+    formula: Formula, models: Iterable[ExpertiseModel]
+) -> tuple[int, int] | None:
+    """(position, least falsified state) of the first model where the
+    formula's extension, through semantics.extension, is not the whole
+    space; None if it holds in every model."""
+    for position, model in enumerate(models):
+        missing = model.full_mask & ~extension(model, formula)
+        if missing:
+            return position, (missing & -missing).bit_length() - 1
+    return None
 
 
 def check_equivalence(

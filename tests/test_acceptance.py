@@ -3,9 +3,11 @@ budget pinned, and each prints one PASS/FAIL/SKIP line in the terminal
 summary (see conftest.py).  The labels are the docstring first lines."""
 
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -253,7 +255,9 @@ def _countermodel_json(engine):
         engine,
         "--json",
     ]
-    return subprocess.run(argv, capture_output=True, check=False)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run(argv, env=env, capture_output=True, check=False)
 
 
 def _assert_pinned_witness(stdout):

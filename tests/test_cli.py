@@ -1,8 +1,10 @@
 """Command-line contract: outputs, exit codes, JSON stability."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,8 @@ from expertlogic.cli import main
 from expertlogic.kernels import eval_chunk
 
 ECONOMIST = "fixtures/economist.json"
+# a child `python -m expertlogic` imports the package from this tree
+CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
 DISTRIBUTION_FIXTURE = "fixtures/distribution.json"
 NEC_SHAT = "fixtures/nec_shat.prf"
 
@@ -91,6 +95,7 @@ class TestEval:
     def test_unknown_atom_at_a_state_warns_once(self):
         proc = subprocess.run(
             [sys.executable, "-m", "expertlogic", "eval", ECONOMIST, "p & zz", "--state", "a"],
+            env=CHILD_ENV,
             capture_output=True,
             text=True,
         )
@@ -109,6 +114,28 @@ class TestExtension:
     def test_json(self, capsys):
         _, out, _ = run(capsys, "extension", ECONOMIST, "r & p", "--json")
         assert json.loads(out) == {"formula": "r & p", "extension": ["a"]}
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"states": ["a"], "partition": [["a"]], "valuation": {"p": 3}},
+            {"states": ["a"], "partition": [[["a"]]]},
+            {"states": ["a", "b"], "partition": ["ab"]},
+        ],
+    )
+    def test_malformed_model_is_a_format_error(self, tmp_path, doc):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "expertlogic", "extension", str(path), "p"],
+            env=CHILD_ENV,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: "), proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestTranslate:
@@ -348,6 +375,13 @@ class TestSoundnessSweep:
         assert code == 2
         assert "unknown schema" in err
 
+    @pytest.mark.parametrize("value", [",", "", " , "])
+    def test_schema_list_naming_nothing_is_a_usage_error(self, capsys, value):
+        code, out, err = run(capsys, "soundness-sweep", "--schemas", value)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "names no schema" in err
+
     def test_json_report(self, capsys):
         code, out, _ = run(
             capsys,
@@ -369,6 +403,7 @@ class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "expertlogic", "extension", ECONOMIST, "r & p"],
+            env=CHILD_ENV,
             capture_output=True,
             text=True,
         )
@@ -378,6 +413,7 @@ class TestEntryPoint:
     def test_usage_error_from_argparse(self):
         proc = subprocess.run(
             [sys.executable, "-m", "expertlogic", "no-such-command"],
+            env=CHILD_ENV,
             capture_output=True,
             text=True,
         )

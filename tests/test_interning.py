@@ -8,9 +8,11 @@ wall times.
 
 import copy
 import gc
+import os
 import pickle
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,13 +75,17 @@ def test_deep_input_keeps_its_structure():
 @pytest.mark.parametrize("command,code", [("translate", 0), ("countermodel", 1)])
 def test_cli_answers_on_deep_input(command, code):
     # an even number of negations: the formula is p, which is falsifiable
+    line = {"translate": "knowledge form:", "countermodel": "countermodel found:"}
+    src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-m", "expertlogic", command, NEGATIONS],
+        env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == code, proc.stderr
+    assert proc.stdout.startswith(line[command]), proc.stdout[:200]
 
 
 def test_separately_parsed_deep_formulas_are_equal():

@@ -254,6 +254,16 @@ class TestJson:
             {"states": ["a"], "partition": [["a"]], "valuation": {"p": ["z"]}},
             {"states": ["a"], "partition": [["a"]], "valuation": {"P": ["a"]}},
             {"states": ["a"], "partition": [["a"]], "valuation": "p"},
+            # a string where an array of state names belongs is not split
+            # into characters, and a nested or numeric one is no crash
+            {"states": "abc", "partition": [["a", "b", "c"]]},
+            {"states": ["a"], "partition": "a"},
+            {"states": ["a", "b"], "partition": ["ab"]},
+            {"states": ["a"], "partition": [["a"]], "valuation": {"p": "a"}},
+            {"states": ["a", "b"], "expertise": ["ab", ""]},
+            {"states": ["a"], "expertise": "a"},
+            {"states": ["a"], "partition": [["a"]], "valuation": {"p": 3}},
+            {"states": ["a"], "partition": [[["a"]]]},
         ],
     )
     def test_malformed_documents(self, doc):

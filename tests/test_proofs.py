@@ -364,3 +364,11 @@ class TestSoundnessSweep:
             "violations",
         }
         assert "elapsed_s" in report.to_report(include_timing=True)
+
+    def test_engine_is_resolved_before_any_search(self):
+        spec = EnumerationSpec(2, ("p", "q"))
+        assert soundness_sweep([], corpus_formulas(), spec).engine == "numpy"
+        report = soundness_sweep([SCHEMAS["T_A"]], corpus_formulas()[:1], spec, "python")
+        assert report.engine == "python"
+        with pytest.raises(ValueError, match="unknown engine"):
+            soundness_sweep([], corpus_formulas(), spec, "gpu")

@@ -385,6 +385,38 @@ class TestSearch:
             assert len(counts) == 1, text
 
 
+class TestPythonEngineIsIndependent:
+    # pinned verdicts, each found elsewhere in this file on both engines:
+    # (formula, bound, atoms, limit, models_checked, witness state or None)
+    PINNED = [
+        ("E p", 2, ("p",), None, 4, "x0"),
+        ("E p | q", 2, ("p", "q"), None, 6, "x0"),
+        ("p -> S p", 3, ("p", "q"), None, 356, None),
+        ("A S p | E q | A ~p", 3, ("p", "q"), 109, 109, None),
+        ("A S p | E r | A ~p", 3, ("p", "q", "r"), None, 714, "x0"),
+    ]
+
+    @pytest.mark.parametrize("text, n, atoms, limit, checked, state", PINNED)
+    def test_runs_without_the_kernel(self, monkeypatch, text, n, atoms, limit, checked, state):
+        # the reference shares only the enumeration order with the kernel:
+        # it evaluates through semantics and reduces on its own
+        for name in ("atom_planes", "same_block", "eval_chunk", "first_failure"):
+
+            def refuse(*args, name=name):
+                raise AssertionError(f"the python engine called kernels.{name}")
+
+            monkeypatch.setattr(kernels, name, refuse)
+        spec = EnumerationSpec(n, atoms, limit)
+        verdict = find_countermodel(parse(text), spec, "python")
+        assert verdict.stats.models_checked == checked
+        assert verdict.witness_state == state
+        if state is None:
+            assert verdict.status == "valid-up-to-bound"
+            assert verdict.stats.truncated is (limit is not None)
+        with pytest.raises(AssertionError, match="called kernels"):
+            find_countermodel(parse(text), spec, "numpy")
+
+
 class TestSearchInputs:
     def test_knowledge_formulas_rejected(self):
         with pytest.raises(ValueError, match="E/S/A"):
@@ -510,6 +542,22 @@ class TestWitnessIsEnumerationLeast:
                     return
         pytest.fail("expected a countermodel in the sweep")
 
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_witness_state_is_the_least_falsified_one(self, engine):
+        # the first countermodel, p = {x0} in one block of two, falsifies
+        # E p | q at both of its states; the witness is the least, x0
+        verdict = find_countermodel(
+            parse("E p | q"), EnumerationSpec(2, ("p", "q")), engine
+        )
+        assert verdict.stats.models_checked == 4 + 2
+        assert model_to_dict(verdict.witness_model) == {
+            "states": ["x0", "x1"],
+            "partition": [["x0", "x1"]],
+            "valuation": {"p": ["x0"], "q": []},
+        }
+        assert extension(verdict.witness_model, parse("E p | q")) == 0
+        assert verdict.witness_state == "x0"
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_partitions_come_before_words(self, engine):
