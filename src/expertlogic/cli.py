@@ -32,7 +32,6 @@ from .formula import (
     eliminate_expertise,
     parse,
     render,
-    RESERVED_TOP_ATOM,
     to_knowledge_form,
 )
 from .model import (
@@ -78,14 +77,22 @@ def _parse_atoms(text: str) -> tuple[str, ...]:
     return tuple(a.strip() for a in text.split(",") if a.strip())
 
 
+def _atoms_option(args) -> tuple[str, ...] | None:
+    """The atoms --atoms names, or None when it is not given."""
+    if args.atoms is None:
+        return None
+    atoms = _parse_atoms(args.atoms)
+    if not atoms:
+        raise UsageError(f"--atoms {args.atoms!r} names no atom")
+    return atoms
+
+
 def _search_spec(args, *formulas) -> EnumerationSpec:
-    if args.atoms:
-        atoms = _parse_atoms(args.atoms)
-    else:
+    atoms = _atoms_option(args)
+    if atoms is None:
         names = set()
         for f in formulas:
             names |= atom_names(f)
-        names -= {RESERVED_TOP_ATOM}
         if len(names) > DEFAULT_ATOM_CAP:
             raise UsageError(
                 f"formula mentions {len(names)} atoms; beyond {DEFAULT_ATOM_CAP} "
@@ -283,7 +290,7 @@ def cmd_soundness_sweep(args) -> int:
         chosen = list(SCHEMAS.values())
     if args.with_e_distribution and E_DISTRIBUTION not in chosen:
         chosen.append(E_DISTRIBUTION)
-    atoms = _parse_atoms(args.atoms) if args.atoms else ("p", "q")
+    atoms = _atoms_option(args) or ("p", "q")
     spec = EnumerationSpec(args.max_states, atoms, args.limit)
     report = soundness_sweep(chosen, corpus_formulas(), spec, args.engine)
     if args.json:

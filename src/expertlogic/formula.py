@@ -17,16 +17,16 @@ Whitespace is insignificant between tokens.  An unknown capital letter in
 operator position ('B p') raises UnknownOperatorError rather than a generic
 syntax error.
 
-Everything is desugared at parse time onto seven core constructors: Atom,
-Not, And, ModalE (objective expertise), ModalS (soundness), ModalA
-(universal quantification over states) and ModalK (knowledge, used only on
-the relational side of the translation).  Derived forms::
+Everything is desugared at parse time onto eight core constructors: Top
+(the constant true), Atom, Not, And, ModalE (objective expertise), ModalS
+(soundness), ModalA (universal quantification over states) and ModalK
+(knowledge, used only on the relational side of the translation).  Derived
+forms::
 
     a | b    ==  ~(~a & ~b)
     a -> b   ==  ~(a & ~b)
     a <-> b  ==  (a -> b) & (b -> a)
-    T        ==  top | ~top         (reserved-but-ordinary atom 'top';
-    F        ==  ~T                  a user atom 'top' collides harmlessly)
+    F        ==  ~T
     Op^ a    ==  ~Op ~a             for Op in E, S, A, K
 
 Nodes are hash-consed: building a node with the type and fields of a live
@@ -40,7 +40,7 @@ translations, and the evaluators and proof checks built on this module) is
 a loop over it that fills a dict keyed by node, and the parser works with
 explicit operator stacks, so no function recurses on a formula's depth.
 
-render() inverts the sugar for T, F, '|', '->' and '<->' but never for the
+render() inverts the sugar for F, '|', '->' and '<->' but never for the
 duals, and prints the minimal spacing/parenthesisation used throughout the
 docs; parse(render(f)) == f for every core tree f.
 """
@@ -121,6 +121,12 @@ class Formula:
         return text[self]
 
 
+class Top(Formula):
+    """The constant true, which holds at every state of every model."""
+
+    __slots__ = ()
+
+
 class Atom(Formula):
     __slots__ = ("name",)
     _leaf = True
@@ -150,8 +156,9 @@ class ModalK(Formula):
     __slots__ = ("child",)
 
 
-_MODAL_TYPES = (ModalE, ModalS, ModalA, ModalK)
-_MODAL_LETTER = {ModalE: "E", ModalS: "S", ModalA: "A", ModalK: "K"}
+_OPERATOR_LETTERS = {"E": ModalE, "S": ModalS, "A": ModalA, "K": ModalK}
+_MODAL_LETTER = {t: letter for letter, t in _OPERATOR_LETTERS.items()}
+_MODAL_TYPES = tuple(_MODAL_LETTER)
 
 
 def subformulas(f: Formula):
@@ -205,8 +212,7 @@ def Iff(left: Formula, right: Formula) -> Formula:
     return And(Imp(left, right), Imp(right, left))
 
 
-RESERVED_TOP_ATOM = "top"
-TOP: Formula = Or(Atom(RESERVED_TOP_ATOM), Not(Atom(RESERVED_TOP_ATOM)))
+TOP: Formula = Top()
 BOT: Formula = Not(TOP)
 
 
@@ -227,13 +233,17 @@ class UnknownOperatorError(FormulaSyntaxError):
 # --- tokenizer ------------------------------------------------------------
 
 _TOKEN_ATOM = re.compile(r"[a-z][a-z0-9_]*")
+# one token after optional whitespace; `other` is any character that starts
+# no token, which _tokenize reports as an error
+_TOKEN = re.compile(
+    r"\s*(?:(?P<punct>[()~&|]|->|<->)|(?P<modal>[ESAK]\^?)|(?P<const>[TF])"
+    rf"|(?P<atom>{_TOKEN_ATOM.pattern})|(?P<other>\S))"
+)
 
 
 def is_atom_name(text: str) -> bool:
     """True when `text` is a legal atom token."""
     return _TOKEN_ATOM.fullmatch(text) is not None
-
-_OPERATOR_LETTERS = {"E": ModalE, "S": ModalS, "A": ModalA, "K": ModalK}
 
 
 class _Token(NamedTuple):
@@ -244,59 +254,69 @@ class _Token(NamedTuple):
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "()~&|":
-            tokens.append(_Token(c, c, i))
-            i += 1
-            continue
-        if c == "-":
-            if text.startswith("->", i):
-                tokens.append(_Token("->", "->", i))
-                i += 2
-                continue
-            raise FormulaSyntaxError("expected '->'", i)
-        if c == "<":
-            if text.startswith("<->", i):
-                tokens.append(_Token("<->", "<->", i))
-                i += 3
-                continue
-            raise FormulaSyntaxError("expected '<->'", i)
-        if c in _OPERATOR_LETTERS:
-            if i + 1 < n and text[i + 1] == "^":
-                tokens.append(_Token("modal", c + "^", i))
-                i += 2
-            else:
-                tokens.append(_Token("modal", c, i))
-                i += 1
-            continue
-        if c in ("T", "F"):
-            tokens.append(_Token("const", c, i))
-            i += 1
-            continue
-        if c.isupper():
-            raise UnknownOperatorError(f"unknown operator {c!r}", i)
-        m = _TOKEN_ATOM.match(text, i)
-        if m:
-            tokens.append(_Token("atom", m.group(), i))
-            i = m.end()
-            continue
-        raise FormulaSyntaxError(f"unexpected character {c!r}", i)
-    tokens.append(_Token("eof", "", n))
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        c = m[kind]
+        pos = m.end() - len(c)
+        if kind == "other":
+            if c in "-<":
+                arrow = "->" if c == "-" else "<->"
+                raise FormulaSyntaxError(f"expected {arrow!r}", pos)
+            if c.isupper():
+                raise UnknownOperatorError(f"unknown operator {c!r}", pos)
+            raise FormulaSyntaxError(f"unexpected character {c!r}", pos)
+        tokens.append(_Token(c if kind == "punct" else kind, c, pos))
+    tokens.append(_Token("eof", "", len(text)))
     return tokens
 
 
+# --- infix connectives -------------------------------------------------------
+
+def split_imp(f: Formula) -> tuple[Formula, Formula] | None:
+    """Recognise the desugared a -> b, returning (a, b)."""
+    if isinstance(f, Not) and isinstance(f.child, And) and isinstance(f.child.right, Not):
+        return f.child.left, f.child.right.child
+    return None
+
+
+def split_or(f: Formula) -> tuple[Formula, Formula] | None:
+    if (
+        isinstance(f, Not)
+        and isinstance(f.child, And)
+        and isinstance(f.child.left, Not)
+        and isinstance(f.child.right, Not)
+    ):
+        return f.child.left.child, f.child.right.child
+    return None
+
+
+def split_iff(f: Formula) -> tuple[Formula, Formula] | None:
+    if not isinstance(f, And):
+        return None
+    fwd = split_imp(f.left)
+    bwd = split_imp(f.right)
+    if fwd is not None and bwd is not None and fwd == (bwd[1], bwd[0]):
+        return fwd
+    return None
+
+
+# symbol -> (strength, associativity, constructor, recogniser): a higher
+# strength binds tighter, associativity is "left", "right" or None (none),
+# and the recogniser inverts the constructor.  The renderer tries them in
+# this order, so a tree that reads as both a disjunction and an implication
+# (~a -> b is ~(~a & ~b)) prints as the disjunction, and a biconditional
+# prints as one rather than as a conjunction.
+_INFIX = {
+    "<->": (1, None, Iff, split_iff),
+    "|": (3, "left", Or, split_or),
+    "->": (2, "right", Imp, split_imp),
+    "&": (4, "left", And, lambda f: (f.left, f.right) if isinstance(f, And) else None),
+}
+# strengths of printed prefix forms and of leaves, above every connective
+_UNARY, _LEAF = 5, 6
+
+
 # --- parser ---------------------------------------------------------------
-
-# infix connective -> (binding strength, constructor); higher binds tighter.
-# '&' and '|' associate to the left, '->' to the right, '<->' not at all.
-_INFIX = {"&": (4, And), "|": (3, Or), "->": (2, Imp), "<->": (1, Iff)}
-_LEFT_ASSOCIATIVE = ("&", "|")
-
 
 def _apply_prefixes(operands: list[Formula], pending: list[_Token]) -> None:
     """Apply the unary operators waiting directly before the last operand."""
@@ -315,7 +335,7 @@ def _reduce(operands: list[Formula], pending: list[_Token], strength: int) -> No
     """Apply the waiting infix connectives that bind at least this tightly."""
     while pending and pending[-1].kind in _INFIX and _INFIX[pending[-1].kind][0] >= strength:
         right = operands.pop()
-        operands[-1] = _INFIX[pending.pop().kind][1](operands[-1], right)
+        operands[-1] = _INFIX[pending.pop().kind][2](operands[-1], right)
 
 
 def parse(text: str) -> Formula:
@@ -347,11 +367,11 @@ def parse(text: str) -> Formula:
             _apply_prefixes(operands, pending)
             want_operand = False
         elif kind in _INFIX:
-            strength = _INFIX[kind][0]
-            _reduce(operands, pending, strength + (kind not in _LEFT_ASSOCIATIVE))
-            if kind == "<->" and pending and pending[-1].kind == "<->":
+            strength, assoc = _INFIX[kind][:2]
+            _reduce(operands, pending, strength + (assoc != "left"))
+            if assoc is None and pending and pending[-1].kind == kind:
                 raise FormulaSyntaxError(
-                    "'<->' is non-associative, parenthesise one side", tok.pos
+                    f"{kind!r} is non-associative, parenthesise one side", tok.pos
                 )
             pending.append(tok)
             want_operand = True
@@ -371,79 +391,32 @@ def parse(text: str) -> Formula:
 
 # --- renderer ---------------------------------------------------------------
 
-# precedence of a printed form, higher binds tighter
-_P_IFF, _P_IMP, _P_OR, _P_AND, _P_UNARY, _P_ATOM = range(6)
-
-
-def split_imp(f: Formula) -> tuple[Formula, Formula] | None:
-    """Recognise the desugared a -> b, returning (a, b)."""
-    if isinstance(f, Not) and isinstance(f.child, And) and isinstance(f.child.right, Not):
-        return f.child.left, f.child.right.child
-    return None
-
-
-def split_or(f: Formula) -> tuple[Formula, Formula] | None:
-    if (
-        isinstance(f, Not)
-        and isinstance(f.child, And)
-        and isinstance(f.child.left, Not)
-        and isinstance(f.child.right, Not)
-    ):
-        return f.child.left.child, f.child.right.child
-    return None
-
-
-def split_iff(f: Formula) -> tuple[Formula, Formula] | None:
-    if not isinstance(f, And):
-        return None
-    fwd = split_imp(f.left)
-    bwd = split_imp(f.right)
-    if fwd is not None and bwd is not None and fwd == (bwd[1], bwd[0]):
-        return fwd
-    return None
-
-
 def _wrap(text: str, needed: bool) -> str:
     return f"({text})" if needed else text
 
 
 def _render_node(f: Formula, out: dict[Formula, tuple[str, int]]) -> tuple[str, int]:
-    """Text and precedence of f, given those of its subformulas in `out`."""
+    """Text and strength of f, given those of its subformulas in `out`."""
     if f == TOP:
-        return "T", _P_ATOM
+        return "T", _LEAF
     if f == BOT:
-        return "F", _P_ATOM
+        return "F", _LEAF
     if isinstance(f, Atom):
-        return f.name, _P_ATOM
-    if isinstance(f, And):
-        pair = split_iff(f)
+        return f.name, _LEAF
+    for symbol, (strength, assoc, _, split) in _INFIX.items():
+        pair = split(f)
         if pair is not None:
-            ls, lp = out[pair[0]]
-            rs, rp = out[pair[1]]
-            return (
-                f"{_wrap(ls, lp <= _P_IFF)} <-> {_wrap(rs, rp <= _P_IFF)}",
-                _P_IFF,
-            )
-        ls, lp = out[f.left]
-        rs, rp = out[f.right]
-        return f"{_wrap(ls, lp < _P_AND)} & {_wrap(rs, rp <= _P_AND)}", _P_AND
+            (ls, lp), (rs, rp) = out[pair[0]], out[pair[1]]
+            left = _wrap(ls, lp < strength or lp == strength and assoc != "left")
+            right = _wrap(rs, rp < strength or rp == strength and assoc != "right")
+            return f"{left} {symbol} {right}", strength
     if isinstance(f, Not):
-        pair = split_or(f)
-        if pair is not None:
-            ls, lp = out[pair[0]]
-            rs, rp = out[pair[1]]
-            return f"{_wrap(ls, lp < _P_OR)} | {_wrap(rs, rp <= _P_OR)}", _P_OR
-        pair = split_imp(f)
-        if pair is not None:
-            ls, lp = out[pair[0]]
-            rs, rp = out[pair[1]]
-            return f"{_wrap(ls, lp <= _P_IMP)} -> {_wrap(rs, rp < _P_IMP)}", _P_IMP
         cs, cp = out[f.child]
-        return f"~{_wrap(cs, cp < _P_UNARY)}", _P_UNARY
+        return f"~{_wrap(cs, cp < _UNARY)}", _UNARY
     if isinstance(f, _MODAL_TYPES):
         cs, cp = out[f.child]
-        needed = cp < _P_UNARY or isinstance(f.child, _MODAL_TYPES)
-        return f"{_MODAL_LETTER[type(f)]} {_wrap(cs, needed)}", _P_UNARY
+        needed = cp < _UNARY or isinstance(f.child, _MODAL_TYPES)
+        return f"{_MODAL_LETTER[type(f)]} {_wrap(cs, needed)}", _UNARY
     raise TypeError(f"not a formula node: {f!r}")
 
 

@@ -23,7 +23,7 @@ give (P, 1, W).
 
 Opcodes, as (opcode, a, b) with slot[a] and slot[b] the operands::
 
-    OP_ATOM  slot = planes[a]        (a == -1 gives the empty set)
+    OP_ATOM  slot = planes[a]        (a == -1 gives the whole space: T)
     OP_NOT   ~slot[a]
     OP_AND   slot[a] & slot[b]
     OP_E     AND over rows of ~(S slot[a] ^ slot[a]): ||f|| is a union
@@ -53,7 +53,7 @@ from .formula import (
     ModalE,
     ModalS,
     Not,
-    RESERVED_TOP_ATOM,
+    Top,
     subformulas,
 )
 
@@ -94,17 +94,18 @@ def compile_program(f: Formula, atom_order) -> Program:
     This is the bounded search's input check.  A node outside E/S/A (K,
     or a proof metavariable) is rejected as soon as the walk meets it;
     atoms outside `atom_order` are rejected after the walk, all of them,
-    sorted.  The reserved 'top' introduced by the T/F sugar needs no
-    column: it compiles to the constant empty set (its value cancels out
-    of T and F either way).
+    sorted.  The constant T needs no column: it compiles to an atom op
+    reading column -1, the whole space.
     """
-    index = {RESERVED_TOP_ATOM: -1, **{a: i for i, a in enumerate(atom_order)}}
+    index = {a: i for i, a in enumerate(atom_order)}
     slot: dict[Formula, int] = {}
     ops: list[tuple[int, int, int]] = []
     last_reader: dict[int, int] = {}
     loose: set[str] = set()
     for g in subformulas(f):
-        if isinstance(g, Atom):
+        if isinstance(g, Top):
+            ops.append((OP_ATOM, -1, -1))
+        elif isinstance(g, Atom):
             column = index.get(g.name, -1)
             if g.name not in index:
                 loose.add(g.name)
@@ -167,7 +168,7 @@ def eval_chunk(program: Program, planes: np.ndarray, same: np.ndarray) -> np.nda
     slots: list[np.ndarray | None] = [None] * len(program.ops)
     for t, (op, a, b) in enumerate(program.ops):
         if op == OP_ATOM:
-            ext = planes[None, a] if a >= 0 else np.zeros((1, 1, words), np.uint64)
+            ext = planes[None, a] if a >= 0 else np.full((1, 1, words), _ALL_ONES)
         elif op == OP_NOT:
             ext = ~slots[a]
         elif op == OP_AND:

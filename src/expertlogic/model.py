@@ -287,8 +287,9 @@ class RelationalModel(_ModelBase):
     """State space with one accessibility relation plus the global one.
 
     succ[i] is the bitmask of states reachable from states[i].  The model is
-    meaningful for the K/A fragment whatever the relation; require_s5()
-    enforces equivalence-hood where the expertise reading is at stake.
+    meaningful for the K/A fragment whatever the relation; s5_violation()
+    reports where it fails to be an equivalence, and from_s5_model refuses
+    such a relation where the expertise reading is at stake.
     """
 
     states: tuple[str, ...]

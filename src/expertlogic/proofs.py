@@ -52,6 +52,8 @@ from .formula import (
     ModalE,
     ModalS,
     Not,
+    TOP,
+    Top,
     in_expertise_language,
     parse,
     rebuild,
@@ -149,9 +151,10 @@ class TautologyLimitError(ValueError):
 def check_taut(f: Formula) -> bool:
     """Truth-table tautology after abstracting modal subtrees to letters.
 
-    Maximal modal subformulas and atoms become propositional letters; the
-    table is evaluated column-wise on big-int bit vectors (bit a = row a).
-    More than 20 distinct letters is refused outright.
+    Maximal modal subformulas and atoms become propositional letters and T
+    the all-true column; the table is evaluated column-wise on big-int bit
+    vectors (bit a = row a).  More than 20 distinct letters is refused
+    outright.
     """
     nodes = list(subformulas(f))
     # the propositional skeleton: f and whatever it reaches through ~ and &
@@ -159,7 +162,7 @@ def check_taut(f: Formula) -> bool:
     for g in reversed(nodes):  # parents before children
         if g in skeleton and isinstance(g, (Not, And)):
             skeleton.update(g.children)
-    letters = [g for g in nodes if g in skeleton and not isinstance(g, (Not, And))]
+    letters = [g for g in nodes if g in skeleton and not isinstance(g, (Top, Not, And))]
     count = len(letters)
     if count > MAX_TAUT_LETTERS:
         raise TautologyLimitError(
@@ -169,7 +172,7 @@ def check_taut(f: Formula) -> bool:
         )
     rows = 1 << count
     table_full = (1 << rows) - 1
-    value: dict[Formula, int] = {}
+    value: dict[Formula, int] = {TOP: table_full}
     for idx, letter in enumerate(letters):
         half = 1 << idx
         unit = ((1 << half) - 1) << half

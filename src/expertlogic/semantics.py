@@ -11,15 +11,16 @@ Two interchangeable evaluation paths implement the E and S clauses.  The
 default ('fast') works on the partition: the states reachable by S f are
 the block-closure of ||f|| (union of blocks meeting it), and E f asks that
 ||f|| be block-closed.  The 'literal' path materialises the full collection
-(2^blocks sets) and applies the clauses above word for word.  The fast path
-is what the search kernels use; the literal path is the authority the test
-suite and Verdict self-checks compare against.
+(2^blocks sets, so at most 20 blocks) and applies the clauses above word
+for word.  The fast path is what the search kernels use; the literal path
+is the authority the test suite and Verdict self-checks compare against.
 
-Extensions are computed in one pass over the formula's distinct nodes
-(formula.subformulas, children first), so each distinct subformula is
-evaluated once per call however often it recurs.  Atoms missing from the
-model's valuation evaluate as false and raise UnknownAtomWarning once per
-call.
+Both model kinds share one loop, _evaluate, which takes the E and S (or
+K) clauses from its caller.  It makes one pass over the formula's
+distinct nodes (formula.subformulas, children first), so each distinct
+subformula is evaluated once per call however often it recurs.  Atoms
+missing from the model's valuation evaluate as false and raise
+UnknownAtomWarning once per call.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .formula import (
     ModalK,
     ModalS,
     Not,
-    RESERVED_TOP_ATOM,
+    Top,
     subformulas,
     to_knowledge_form,
 )
@@ -49,73 +50,80 @@ from .model import (
 )
 
 MODES = ("fast", "literal")
+# literal mode materialises all 2^blocks members of the expertise set
+MAX_LITERAL_BLOCKS = 20
 
 
 class UnknownAtomWarning(UserWarning):
     """A formula mentions an atom absent from the model's valuation."""
 
 
-def _warn_missing_atoms(missing: set[str]) -> None:
-    # 'top' enters through the T/F sugar and cancels out of both, so its
-    # absence from a valuation is not worth a warning
-    missing = sorted(missing - {RESERVED_TOP_ATOM})
-    if missing:
-        warnings.warn(
-            f"atoms not in the valuation are treated as false: {', '.join(missing)}",
-            UnknownAtomWarning,
-            stacklevel=3,
-        )
-
-
-def _atom_extension(model, name: str, missing: set[str]) -> Mask:
-    mask = model.atom_mask(name)
-    if mask is None:
-        missing.add(name)
-        return 0
-    return mask
-
-
-def extension(model: ExpertiseModel, f: Formula, *, mode: str = "fast") -> Mask:
-    """Bitmask of the states satisfying f."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-
-    partition = model.partition
+def _evaluate(model, f: Formula, modal: dict, refusal: str) -> Mask:
+    """Bitmask of the states of `model` satisfying f.  `modal` maps each
+    modal type other than A to its clause, from the child's extension to
+    the node's; a node type with no clause raises ValueError(refusal)."""
     full = model.full_mask
-    if mode == "literal":
-        family = expertise_set_from_partition(partition)
-        family_set = set(family)
     ext: dict[Formula, Mask] = {}
     missing: set[str] = set()
     for g in subformulas(f):
-        if isinstance(g, Atom):
-            out = _atom_extension(model, g.name, missing)
+        if isinstance(g, Top):
+            out = full
+        elif isinstance(g, Atom):
+            out = model.atom_mask(g.name)
+            if out is None:
+                missing.add(g.name)
+                out = 0
         elif isinstance(g, Not):
             out = full & ~ext[g.child]
         elif isinstance(g, And):
             out = ext[g.left] & ext[g.right]
         elif isinstance(g, ModalA):
             out = full if ext[g.child] == full else 0
-        elif isinstance(g, ModalE):
-            e = ext[g.child]
-            if mode == "fast":
-                out = full if partition.saturate(e) == e else 0
-            else:
-                out = full if e in family_set else 0
-        elif isinstance(g, ModalS):
-            e = ext[g.child]
-            if mode == "fast":
-                out = partition.saturate(e)
-            else:
-                out = full
-                for member in family:
-                    if e & ~member == 0:
-                        out &= member
+        elif type(g) in modal:
+            out = modal[type(g)](ext[g.child])
         else:
-            raise ValueError("K has no truth clause on expertise models")
+            raise ValueError(refusal)
         ext[g] = out
-    _warn_missing_atoms(missing)
+    if missing:
+        # stacklevel 3 points at the caller of extension/extension_relational
+        warnings.warn(
+            f"atoms not in the valuation are treated as false: {', '.join(sorted(missing))}",
+            UnknownAtomWarning,
+            stacklevel=3,
+        )
     return ext[f]
+
+
+def extension(model: ExpertiseModel, f: Formula, *, mode: str = "fast") -> Mask:
+    """Bitmask of the states satisfying f."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
+    partition = model.partition
+    full = model.full_mask
+    if mode == "fast":
+        modal = {
+            ModalE: lambda e: full if partition.saturate(e) == e else 0,
+            ModalS: partition.saturate,
+        }
+    else:
+        blocks = len(partition.blocks)
+        if blocks > MAX_LITERAL_BLOCKS:
+            raise ValueError(
+                f"literal mode would materialise 2^{blocks} expertise sets for "
+                f"{blocks} blocks (cap is {MAX_LITERAL_BLOCKS} blocks)"
+            )
+        family = expertise_set_from_partition(partition)
+        family_set = set(family)
+
+        def sound(e: Mask) -> Mask:  # the intersection of the members covering e
+            out = full
+            for member in family:
+                if e & ~member == 0:
+                    out &= member
+            return out
+
+        modal = {ModalE: lambda e: full if e in family_set else 0, ModalS: sound}
+    return _evaluate(model, f, modal, "K has no truth clause on expertise models")
 
 
 def holds(model: ExpertiseModel, state: str, f: Formula, *, mode: str = "fast") -> bool:
@@ -131,30 +139,14 @@ def globally_true(model: ExpertiseModel, f: Formula, *, mode: str = "fast") -> b
 
 def extension_relational(rmodel: RelationalModel, f: Formula) -> Mask:
     """Bitmask of the states satisfying a K/A-fragment formula."""
-    full = rmodel.full_mask
     succ = rmodel.succ
-    ext: dict[Formula, Mask] = {}
-    missing: set[str] = set()
-    for g in subformulas(f):
-        if isinstance(g, Atom):
-            out = _atom_extension(rmodel, g.name, missing)
-        elif isinstance(g, Not):
-            out = full & ~ext[g.child]
-        elif isinstance(g, And):
-            out = ext[g.left] & ext[g.right]
-        elif isinstance(g, ModalA):
-            out = full if ext[g.child] == full else 0
-        elif isinstance(g, ModalK):  # x sees only f-states
-            e = ext[g.child]
-            out = 0
-            for i in range(rmodel.n):
-                if succ[i] & ~e == 0:
-                    out |= 1 << i
-        else:
-            raise ValueError("relational models interpret only the K/A fragment")
-        ext[g] = out
-    _warn_missing_atoms(missing)
-    return ext[f]
+
+    def known(e: Mask) -> Mask:  # the states that see only e-states
+        return sum(1 << i for i in range(rmodel.n) if succ[i] & ~e == 0)
+
+    return _evaluate(
+        rmodel, f, {ModalK: known}, "relational models interpret only the K/A fragment"
+    )
 
 
 def holds_relational(rmodel: RelationalModel, state: str, f: Formula) -> bool:

@@ -8,7 +8,7 @@ agreement between the two is meaningful evidence rather than a tautology.
 
 from itertools import combinations
 
-from expertlogic.formula import And, Atom, ModalA, ModalE, ModalK, ModalS, Not
+from expertlogic.formula import And, Atom, ModalA, ModalE, ModalK, ModalS, Not, Top
 
 
 def ref_partitions(states):
@@ -80,6 +80,8 @@ def ref_extension(states, family, valuation, f):
 
 def ref_eval(states, family, valuation, x, f):
     """Literal truth clauses over a materialised expertise family."""
+    if isinstance(f, Top):
+        return True
     if isinstance(f, Atom):
         return x in valuation.get(f.name, frozenset())
     if isinstance(f, Not):
@@ -102,6 +104,8 @@ def ref_eval(states, family, valuation, x, f):
 
 def ref_eval_relational(states, succ, valuation, x, f):
     """Truth at x in a relational model; succ maps state -> set of states."""
+    if isinstance(f, Top):
+        return True
     if isinstance(f, Atom):
         return x in valuation.get(f.name, frozenset())
     if isinstance(f, Not):
@@ -125,6 +129,8 @@ def ref_tautology(f):
         # full walk: evaluation short-circuits, registration must not
         if isinstance(g, (Atom, ModalE, ModalS, ModalA, ModalK)):
             letters.setdefault(g, len(letters))
+        elif isinstance(g, Top):
+            pass
         elif isinstance(g, Not):
             register(g.child)
         else:
@@ -132,6 +138,8 @@ def ref_tautology(f):
             register(g.right)
 
     def ev(g, row):
+        if isinstance(g, Top):
+            return True
         if isinstance(g, (Atom, ModalE, ModalS, ModalA, ModalK)):
             return bool((row >> letters[g]) & 1)
         if isinstance(g, Not):

@@ -1,5 +1,7 @@
 """Command-line contract: outputs, exit codes, JSON stability."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,10 +9,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
 
 from expertlogic import kernels
 from expertlogic.cli import main
+from expertlogic.formula import atom_names, parse, render
 from expertlogic.kernels import eval_chunk
+
+from reference import ref_eval, ref_family_from_partition, ref_partitions
+from strategies import formulas
 
 ECONOMIST = "fixtures/economist.json"
 # a child `python -m expertlogic` imports the package from this tree
@@ -91,6 +98,19 @@ class TestEval:
         assert code == 2
         assert "error:" in err
         assert out == ""
+
+    @pytest.mark.parametrize("blocks, code", [(21, 2), (20, 1)])
+    def test_literal_mode_caps_the_blocks(self, capsys, tmp_path, blocks, code):
+        states = [f"s{i}" for i in range(blocks)]
+        path = tmp_path / "model.json"
+        doc = {"states": states, "partition": [[s] for s in states], "valuation": {"p": ["s0"]}}
+        path.write_text(json.dumps(doc))
+        got, out, err = run(capsys, "eval", str(path), "S p", "--mode", "literal")
+        assert got == code
+        if code == 2:
+            assert err.startswith("error: ") and "21 blocks" in err
+        else:
+            assert out.startswith("extension: {s0}\n")
 
     def test_unknown_atom_at_a_state_warns_once(self):
         proc = subprocess.run(
@@ -234,6 +254,20 @@ class TestCountermodel:
         assert code == 2
         assert "outside the search valuations" in err
 
+    def test_empty_atom_list_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "countermodel", "p", "--atoms", "")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "names no atom" in err
+
+    @pytest.mark.parametrize("text", ["~top", "E top"])
+    def test_atom_named_top_is_searched(self, capsys, text):
+        code, out, _ = run(capsys, "countermodel", text)
+        assert code == 1
+        assert "countermodel found" in out
+        assert "atoms {top}" in out
+        assert "  valuation: top = {" in out
+
     def test_limit_reports_truncation(self, capsys):
         code, out, _ = run(
             capsys, "countermodel", "p -> S p", "--limit", "7", "--engine", "python"
@@ -294,6 +328,11 @@ class TestEquiv:
         assert code == 1
         assert "not equivalent" in out
         assert "falsified at: x1" in out
+
+    def test_atom_named_top_is_not_the_constant(self, capsys):
+        code, out, _ = run(capsys, "equiv", "top", "F")
+        assert code == 1
+        assert "not equivalent" in out
 
     def test_json_has_both_sides(self, capsys):
         _, out, _ = run(capsys, "equiv", "E p", "E ~p", "--json")
@@ -382,6 +421,14 @@ class TestSoundnessSweep:
         assert out == ""
         assert err.startswith("error: ") and "names no schema" in err
 
+    def test_empty_atom_list_is_a_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "soundness-sweep", "--atoms", "", "--schemas", "T_A", "--max-states", "2"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "names no atom" in err
+
     def test_json_report(self, capsys):
         code, out, _ = run(
             capsys,
@@ -397,6 +444,35 @@ class TestSoundnessSweep:
         assert doc["schemas"] == ["T_A", "Inc"]
         assert doc["instances_checked"] == 24
         assert doc["violations"] == []
+
+
+def _brute_force_status(f, max_states):
+    """The search's status for f over its own atoms, from the reference
+    oracles: every partition of up to max_states states, every valuation."""
+    atoms = sorted(atom_names(f))
+    for n in range(1, max_states + 1):
+        states = [f"x{i}" for i in range(n)]
+        for blocks in ref_partitions(states):
+            family = ref_family_from_partition(blocks)
+            for code in range(1 << (n * len(atoms))):
+                valuation = {
+                    a: frozenset(x for i, x in enumerate(states) if code >> (j * n + i) & 1)
+                    for j, a in enumerate(atoms)
+                }
+                if not all(ref_eval(states, family, valuation, x, f) for x in states):
+                    return "countermodel-found"
+    return "valid-up-to-bound"
+
+
+@settings(deadline=None)
+@given(formulas(("p", "top"), with_k=False, max_leaves=6))
+@example(parse("~top"))
+@example(parse("E top"))
+def test_default_search_space_agrees_with_brute_force(f):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(["countermodel", render(f), "--max-states", "2", "--json"])
+    assert json.loads(out.getvalue())["status"] == _brute_force_status(f, 2)
 
 
 class TestEntryPoint:

@@ -1,6 +1,9 @@
+import pickle
+
 import pytest
 from hypothesis import given
 
+import expertlogic
 from expertlogic.formula import (
     And,
     Atom,
@@ -15,6 +18,7 @@ from expertlogic.formula import (
     Not,
     Or,
     TOP,
+    Top,
     UnknownOperatorError,
     atom_names,
     eliminate_expertise,
@@ -134,6 +138,10 @@ class TestRendering:
         assert parse("(p -> q) -> r") == parse("p & ~q | r")
         assert render(parse("(p -> q) -> r")) == "p & ~q | r"
 
+    @pytest.mark.parametrize("text", ["T -> p", "T & T", "K (T -> T)", "top | ~top"])
+    def test_constants_and_the_atom_top_print_as_written(self, text):
+        assert render(parse(text)) == text
+
     @given(formulas())
     def test_round_trip(self, f):
         assert parse(render(f)) == f
@@ -142,7 +150,15 @@ class TestRendering:
 class TestStructure:
     def test_atom_names(self):
         assert atom_names(parse("E (p -> q) & S r")) == {"p", "q", "r"}
-        assert atom_names(parse("T")) == {"top"}
+        assert atom_names(parse("T")) == set()
+
+    def test_top_is_a_core_constant(self):
+        assert Top() is TOP is expertlogic.Top()
+        assert TOP.children == ()
+        assert repr(BOT) == "Not(child=Top())"
+        assert pickle.loads(pickle.dumps(BOT)) is BOT
+        assert parse("top | ~top") != TOP
+        assert atom_names(parse("top | ~top")) == {"top"}
 
     def test_modal_depth(self):
         assert modal_depth(parse("p & ~q")) == 0

@@ -98,6 +98,12 @@ class TestCompile:
         prog = compile_program(parse("T"), ("p",))
         assert [a for op, a, _ in prog.ops if op == OP_ATOM] == [-1]
 
+    def test_constant_true_is_one_op_holding_the_whole_space(self):
+        prog = compile_program(parse("T"), ("p",))
+        assert prog.ops == ((OP_ATOM, -1, -1),)
+        out = _run(prog, 2, [(0, 1), (0, 0)], 0, 1)
+        assert (out == np.uint64(0xFFFF_FFFF_FFFF_FFFF)).all()
+
     def test_repeated_subformulas_compile_once(self):
         # p, q, p & q, q & (p & q), and the whole: the inner p and q reuse
         # the slots of the outer ones

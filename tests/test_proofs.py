@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expertlogic.formula import And, Atom, Iff, Imp, ModalA, ModalS, Not, parse, render
+from expertlogic.formula import TOP, And, Atom, Iff, Imp, ModalA, ModalS, Not, parse, render
 from expertlogic.proofs import (
     Axiom,
     Derivation,
@@ -141,6 +141,16 @@ class TestCheckTaut:
             check_taut(wide)
         assert "21 distinct letters" in str(err.value)
         assert "cap is 20" in str(err.value)
+
+    def test_constants_are_columns_not_letters(self):
+        assert check_taut(parse("T"))
+        assert check_taut(parse("p -> T"))
+        assert check_taut(parse("F -> p"))
+        f = Atom("a0")
+        for i in range(1, MAX_TAUT_LETTERS):
+            f = And(f, Atom(f"a{i}"))
+        assert not check_taut(And(f, TOP))  # 20 letters: within the cap
+        assert check_taut(Imp(And(f, TOP), Atom("a0")))
 
     def test_twenty_letters_is_still_allowed(self):
         f = Atom("a0")

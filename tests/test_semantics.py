@@ -122,6 +122,10 @@ class TestEvaluation:
         with pytest.warns(UnknownAtomWarning, match="zz"):
             assert extension(ECONOMIST, parse("zz | r")) == mask_of("ac", ECONOMIST.states)
 
+    def test_missing_atom_named_top_warns(self):
+        with pytest.warns(UnknownAtomWarning, match="top"):
+            assert extension(ECONOMIST, parse("top | ~top")) == ECONOMIST.full_mask
+
     def test_matches_reference_oracle_everywhere(self):
         for model in _tiny_models(3):
             states, family, valuation = _as_sets(model)

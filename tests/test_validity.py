@@ -161,7 +161,7 @@ class TestSearch:
             "~E p <-> A^ (S p & ~p)",
             "S ~S p -> ~S p",
             "A p -> ~S ~p",
-            "E top | ~E top",
+            "E F | ~E F",
             "E T & E F & E E p",
             "(E p & E q) -> E (p & q)",
         ],
@@ -436,6 +436,12 @@ class TestSearchInputs:
     def test_knowledge_wins_over_an_uncovered_atom(self, engine):
         with pytest.raises(ValueError, match="E/S/A"):
             find_countermodel(parse("r & K p"), EnumerationSpec(2, ("p",)), engine)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_atom_named_top_is_an_ordinary_atom(self, engine):
+        spec = EnumerationSpec(3, ("p", "q"))
+        with pytest.raises(ValueError, match="outside the search valuations: top$"):
+            find_countermodel(parse("E top | ~E top"), spec, engine)
 
     def test_constants_need_no_valuation_column(self):
         verdict = find_countermodel(parse("T"), EnumerationSpec(2, ("p",)), "python")
