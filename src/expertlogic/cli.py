@@ -59,6 +59,7 @@ from .validity import (
 
 DEFAULT_BOUND = 4
 DEFAULT_ATOM_CAP = 3
+SWEEP_ATOMS = ("p", "q")
 
 
 class UsageError(ValueError):
@@ -290,7 +291,7 @@ def cmd_soundness_sweep(args) -> int:
         chosen = list(SCHEMAS.values())
     if args.with_e_distribution and E_DISTRIBUTION not in chosen:
         chosen.append(E_DISTRIBUTION)
-    atoms = _atoms_option(args) or ("p", "q")
+    atoms = _atoms_option(args) or SWEEP_ATOMS
     spec = EnumerationSpec(args.max_states, atoms, args.limit)
     report = soundness_sweep(chosen, corpus_formulas(), spec, args.engine)
     if args.json:
@@ -315,7 +316,7 @@ def _add_json(p) -> None:
     p.add_argument("--json", action="store_true", help="emit a stable JSON document")
 
 
-def _add_search_flags(p) -> None:
+def _add_search_flags(p, atoms_default: str) -> None:
     p.add_argument(
         "--max-states",
         type=int,
@@ -326,13 +327,14 @@ def _add_search_flags(p) -> None:
     p.add_argument(
         "--atoms",
         metavar="LIST",
-        help="comma-separated valuation atoms (default: the formula's atoms)",
+        help=f"comma-separated valuation atoms (default: {atoms_default})",
     )
     p.add_argument(
         "--limit",
         type=int,
         metavar="N",
-        help="cap on models visited (partial search, flagged as truncated)",
+        help="cap on models decided, in enumeration order (partial search, "
+        "flagged as truncated)",
     )
     p.add_argument(
         "--engine",
@@ -342,7 +344,8 @@ def _add_search_flags(p) -> None:
     p.add_argument(
         "--timings",
         action="store_true",
-        help="include wall-clock seconds in reports (breaks byte-stability)",
+        help="include wall-clock seconds and the count of models evaluated in "
+        "reports (breaks byte-stability)",
     )
 
 
@@ -389,14 +392,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("countermodel", help="bounded countermodel search")
     p.add_argument("formula")
-    _add_search_flags(p)
+    _add_search_flags(p, "the formula's atoms")
     _add_json(p)
     p.set_defaults(func=cmd_countermodel)
 
     p = sub.add_parser("equiv", help="bounded equivalence check")
     p.add_argument("left")
     p.add_argument("right")
-    _add_search_flags(p)
+    _add_search_flags(p, "the atoms of both formulas")
     _add_json(p)
     p.set_defaults(func=cmd_equiv)
 
@@ -419,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also sweep the deliberately invalid distribution schema",
     )
-    _add_search_flags(p)
+    _add_search_flags(p, ",".join(SWEEP_ATOMS))
     _add_json(p)
     p.set_defaults(func=cmd_soundness_sweep)
 

@@ -11,33 +11,58 @@ so the first countermodel is the same on every engine and every run:
 * valuations as a single counter: atom j's extension occupies bits
   [j*n, (j+1)*n) of the code, so the code runs through all 2^(n*k) masks.
 
-A size-n slice therefore holds exactly bell(n) * 2^(n*k) models.  One
-generator, _ranges, walks that order in batches and is the only place
-that applies the spec's limit.  A batch is a run of partitions crossed
-with a window of valuation codes: either several partitions, each with
-its whole code space, or one partition and a window of its codes, sized
-so that one kernel slot (P partitions x n states x W words of 64 codes)
-holds at most _BUDGET words.  find_countermodel is one loop over those
-batches; the engines differ only in how they find a batch's first
-falsifying model, partition-major and then by code, which is the
-enumeration order, so the verdict does not depend on the batch shape.
-'numpy' (the default) runs the bit-sliced kernel of .kernels over the
-whole batch and reduces it with kernels.first_failure.  'python' is the
-reference the tests compare the kernel with: it decodes the batch's
-models one by one (_batch_models, which also decodes the witness) and
-evaluates each through .semantics until one fails, with no numpy and no
-kernel function but the input check, kernels.compile_program.  Every
-witness found is re-verified with the literal-clause evaluator before
-the Verdict is built, so a kernel bug cannot produce a bogus
-countermodel.
+A size-n slice therefore holds exactly bell(n) * 2^(n*k) models, and the
+model of size n, partition rank r (its position in RGS order) and code c
+is at position (models of sizes below n) + r * 2^(n*k) + c.
+
+Symmetry.  E, S and A read a model only through its partition's blocks
+and the whole space, so renaming the states maps every model to one with
+the same truth values at the renamed states.  Two partitions with the
+same multiset of block sizes (the same shape) are renamings of each
+other, and the valuations run through every code, so one has a
+countermodel exactly when the other has.  The first partition of a shape
+in RGS order is its representative: the contiguous RGS with blocks in
+non-increasing size (0001122 for 3 + 2 + 2).  Every partition before the
+first representative that has a countermodel has a shape whose
+representative comes even earlier and has none; so that representative
+holds the size's enumeration-least countermodel, and scanning the
+representatives alone (bell(n) partitions become p(n) shapes: 877 become
+15 at 7 states) finds the same witness at the same position.  The numpy
+engine scans representatives; the python engine walks every partition,
+so the two check each other.
+
+One generator, _ranges, walks a size's partitions from a source (all of
+them, or the representatives, as (rank, rgs) pairs) in batches and is
+the only place that applies the spec's limit.  A batch is a run of
+partitions crossed with a window of valuation codes: either several
+partitions, each with its whole code space, or one partition and a
+window of its codes, sized so that one kernel slot (P partitions x n
+states x W words of 64 codes) holds at most _BUDGET words.  Each batch
+carries the enumeration position of its partitions' first codes, so a
+falsifying model maps back to its position, and the limit is arithmetic
+on positions: a batch counts only its models before the limit, and the
+walk stops at the first batch with none.  find_countermodel is one loop
+over those batches; the engines differ only in the partition source and
+in how they find a batch's first falsifying model, partition-major and
+then by code, which is the enumeration order, so the verdict does not
+depend on the batch shape.  'numpy' (the default) runs the bit-sliced
+kernel of .kernels over the whole batch and reduces it with
+kernels.first_failure.  'python' is the reference the tests compare the
+kernel with: it decodes the batch's models one by one (_batch_models,
+which also decodes the witness) and evaluates each through .semantics
+until one fails, with no numpy and no kernel function but the input
+check, kernels.compile_program.  Every witness found is re-verified with
+the literal-clause evaluator before the Verdict is built, so a kernel
+bug cannot produce a bogus countermodel.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cache
 from itertools import islice
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import kernels
 from .formula import Formula, Iff, is_atom_name, parse, render
@@ -96,6 +121,47 @@ def blocks_from_rgs(rgs: tuple[int, ...]) -> tuple[Mask, ...]:
     return tuple(blocks)
 
 
+def _shapes(n: int, most: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of the integer n into parts of at most `most`, each in
+    non-increasing order, largest first part first."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, most), 0, -1):
+        for rest in _shapes(n - first, first):
+            yield (first, *rest)
+
+
+@cache
+def _representatives(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(rank, rgs) of the first partition in RGS order of each block-size
+    shape of n states, in rank order; rank is the position in
+    rgs_partitions(n).  Computed without walking the partitions: the
+    representative of a shape is the contiguous RGS with blocks in
+    non-increasing size, and its rank sums, over each entry, the strings
+    that agree before it and have a smaller value there."""
+    # tails[r][m]: strings of r more entries after a prefix whose largest
+    # block index is m
+    tails = [[1] * (n + 1)]
+    for r in range(1, n):
+        prev = tails[-1]
+        tails.append([(m + 1) * prev[m] + prev[m + 1] for m in range(n + 1 - r)])
+    reps = []
+    for shape in _shapes(n, n):
+        rgs = tuple(j for j, size in enumerate(shape) for _ in range(size))
+        rank = top = 0
+        for i, v in enumerate(rgs[1:], 1):
+            rank += sum(tails[n - i - 1][max(top, u)] for u in range(v))
+            top = max(top, v)
+        reps.append((rank, rgs))
+    return tuple(reps)
+
+
+def _all_partitions(n: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(rank, rgs) of every partition of n states, in RGS order."""
+    return enumerate(rgs_partitions(n))
+
+
 @dataclass(frozen=True)
 class EnumerationSpec:
     """Bound for a search: up to n_states states, valuations over atoms."""
@@ -139,34 +205,41 @@ def _layout(n: int, k: int) -> tuple[int, int]:
     return 1, _BUDGET // n
 
 
+_Source = Callable[[int], Iterable[tuple[int, tuple[int, ...]]]]
+
+
 def _ranges(
-    spec: EnumerationSpec, sizes: Iterable[int]
-) -> Iterator[tuple[int, tuple[tuple[int, ...], ...], range, int]]:
-    """The models of the given sizes in enumeration order, as batches
-    (n, rgss, codes, count): the partitions' restricted growth strings,
-    the window of valuation codes each of them takes, and the number of
-    models in the batch, partition-major.  Stops after spec.limit models
-    in all: the last batch keeps only the partitions, or the codes, that
-    the limit reaches, and `count` cuts it exactly."""
-    left = spec.limit
+    spec: EnumerationSpec, sizes: Iterable[int], partitions: _Source
+) -> Iterator[
+    tuple[int, tuple[tuple[int, ...], ...], tuple[int, ...], range, int]
+]:
+    """The models of the given sizes whose partitions come from
+    `partitions` (n -> (rank, rgs) pairs in rank order), as batches
+    (n, rgss, starts, codes, count): the partitions' restricted growth
+    strings, the position of each one's first code of the window counted
+    from the first of the given sizes, the window of valuation codes each
+    of them takes, and how many of the batch's models, partition-major,
+    come before spec.limit.  Those models are a prefix of the batch, as
+    positions grow along the walk; it stops at the first batch with
+    none."""
+    k = len(spec.atoms)
+    first = 0
     for n in sizes:
-        batch, window = _layout(n, len(spec.atoms))
-        codes_total = 1 << (n * len(spec.atoms))
-        partitions = rgs_partitions(n)
-        while rgss := tuple(islice(partitions, batch)):
+        batch, window = _layout(n, k)
+        codes_total = 1 << (n * k)
+        source = iter(partitions(n))
+        while chunk := tuple(islice(source, batch)):
+            ranks, rgss = zip(*chunk)
             for start in range(0, codes_total, window << 6):
                 codes = range(start, min(start + (window << 6), codes_total))
+                starts = tuple(first + r * codes_total + start for r in ranks)
                 count = len(rgss) * len(codes)
-                if left is not None:
-                    if left == 0:
+                if spec.limit is not None:
+                    count = sum(min(len(codes), max(0, spec.limit - s)) for s in starts)
+                    if count == 0:
                         return
-                    if count > left:
-                        rgss = rgss[: -(-left // len(codes))]
-                        if len(rgss) == 1:
-                            codes = codes[:left]
-                        count = left
-                    left -= count
-                yield n, rgss, codes, count
+                yield n, rgss, starts, codes, count
+        first += spec.size_count(n)
 
 
 def _batch_models(
@@ -195,16 +268,23 @@ def _batch_models(
 def enumerate_models(spec: EnumerationSpec) -> Iterator[ExpertiseModel]:
     """All models with exactly spec.n_states states, in enumeration order;
     at most spec.limit of them."""
-    for n, rgss, codes, count in _ranges(spec, (spec.n_states,)):
+    for n, rgss, _, codes, count in _ranges(spec, (spec.n_states,), _all_partitions):
         yield from _batch_models(n, rgss, spec.atoms, codes, count)
 
 
 @dataclass(frozen=True)
 class SearchStats:
+    """models_checked counts the models decided, in enumeration order: up
+    to and including the witness, or up to the limit or the bound.
+    models_evaluated counts the models the engine actually evaluated; the
+    numpy engine evaluates only each shape's representative partition, so
+    it may be far below models_checked."""
+
     models_checked: int
     truncated: bool
     elapsed_s: float
     engine: str
+    models_evaluated: int = 0
 
 
 @dataclass(frozen=True)
@@ -275,6 +355,7 @@ class Verdict:
             }
         if include_timing:
             doc["elapsed_s"] = self.stats.elapsed_s
+            doc["models_evaluated"] = self.stats.models_evaluated
         return doc
 
 
@@ -284,39 +365,50 @@ def find_countermodel(
     """First model in enumeration order falsifying the formula, if any.
 
     The witness state is the least state of that model where the formula
-    fails.  Each batch of models from _ranges is evaluated whole by the
-    kernel and reduced to its least falsifying model (numpy), or model by
-    model up to the first falsifying one (python), so the result is
-    identical across engines and batch shapes.  compile_program is the
-    input check for both engines.
+    fails.  The numpy engine evaluates each batch of shape representatives
+    from _ranges whole with the kernel and reduces it to its least
+    falsifying model; the python engine walks every partition, model by
+    model up to the first falsifying one.  By the symmetry argument in the
+    module docstring both find the same model at the same position, so
+    the result is identical across engines and batch shapes.  A falsifying
+    model at or past the limit ends the search without a witness.
+    compile_program is the input check for both engines.
     """
     started = time.perf_counter()
     program = kernels.compile_program(formula, spec.atoms)
     engine = resolve_engine(engine)
-    checked = 0
+    partitions = _representatives if engine == "numpy" else _all_partitions
+    total = spec.total_count()
+    checked = total if spec.limit is None else min(spec.limit, total)
+    evaluated = 0
     hit = None
-    for n, rgss, codes, count in _ranges(spec, range(1, spec.n_states + 1)):
+    for n, rgss, starts, codes, count in _ranges(
+        spec, range(1, spec.n_states + 1), partitions
+    ):
         if engine == "numpy":
             words = -(-len(codes) // 64)
             planes = kernels.atom_planes(n, len(spec.atoms), codes.start >> 6, words)
             out = kernels.eval_chunk(program, planes, kernels.same_block(rgss))
             found = kernels.first_failure(out, len(codes))
+            evaluated += len(rgss) * len(codes)
         else:
             models = _batch_models(n, rgss, spec.atoms, codes, count)
             found = _python_first_failure(formula, models)
-        if found is not None and found[0] < count:
+            evaluated += count if found is None else found[0] + 1
+        if found is not None:
             index, state = found
-            p, offset = divmod(index, len(codes))
-            checked += index + 1
-            model = next(_batch_models(n, rgss[p:], spec.atoms, codes[offset:], 1))
-            hit = model, model.states[state]
+            if index < count:
+                p, offset = divmod(index, len(codes))
+                checked = starts[p] + offset + 1
+                model = next(_batch_models(n, rgss[p:], spec.atoms, codes[offset:], 1))
+                hit = model, model.states[state]
             break
-        checked += count
     stats = SearchStats(
         models_checked=checked,
-        truncated=hit is None and checked < spec.total_count(),
+        truncated=hit is None and checked < total,
         elapsed_s=time.perf_counter() - started,
         engine=engine,
+        models_evaluated=evaluated,
     )
     if hit is None:
         return Verdict.valid_up_to(formula, spec, stats)

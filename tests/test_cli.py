@@ -295,6 +295,17 @@ class TestCountermodel:
         _, out, _ = run(capsys, *base, "--timings")
         assert "elapsed_s" in json.loads(out)
 
+    def test_timings_report_the_models_evaluated(self, capsys):
+        # the numpy engine runs only each shape's representative partition:
+        # at 7 states over {p, q}, 299,492 of the 15,257,700 models decided
+        base = ("countermodel", "p -> S p", "--max-states", "7", "--atoms", "p,q", "--json")
+        _, out, _ = run(capsys, *base)
+        assert "models_evaluated" not in json.loads(out)
+        _, out, _ = run(capsys, *base, "--timings")
+        doc = json.loads(out)
+        assert doc["models_checked"] == 15_257_700
+        assert doc["models_evaluated"] == 299_492
+
     def test_kernel_fault_is_an_internal_error(self, capsys, monkeypatch):
         # a kernel that clears state x0 in every model reports a witness the
         # literal re-check refutes: a fault of the program, not of the input
@@ -390,6 +401,15 @@ class TestCheckProof:
 
 
 class TestSoundnessSweep:
+    def test_help_names_the_sweep_atoms(self, capsys):
+        # the sweep has no formula: --atoms defaults to p,q
+        with pytest.raises(SystemExit) as stop:
+            main(["soundness-sweep", "--help"])
+        assert stop.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert "comma-separated valuation atoms (default: p,q)" in out
+        assert "formula" not in out
+
     def test_all_schemas_clean_at_small_bound(self, capsys):
         code, out, _ = run(capsys, "soundness-sweep", "--max-states", "2")
         assert code == 0

@@ -7,6 +7,8 @@ shows up as a changed witness, not just a changed runtime.
 """
 
 import json
+import random
+from collections import Counter
 
 import hypothesis.strategies as st
 import pytest
@@ -329,9 +331,10 @@ class TestSearch:
         verdict = find_countermodel(parse("p -> S p"), spec, "numpy")
         assert verdict.stats.models_checked == spec.total_count()
         assert max(slots) <= 16_384
-        # sizes 1-5 batch several partitions, size 6 takes two windows per
-        # partition: 1 + 1 + 1 + 1 + 9 + 203 * 2 calls
-        assert len(slots) == 419
+        # the kernel sees each size's shape representatives only: sizes
+        # 1-4 fit one batch, size 5 (7 shapes, 6 per batch) two, and size 6
+        # takes two windows for each of its 11 shapes
+        assert len(slots) == 1 + 1 + 1 + 1 + 2 + 11 * 2
 
     def test_python_engine_builds_each_partition_once(self, monkeypatch):
         built = []
@@ -582,6 +585,139 @@ class TestWitnessIsEnumerationLeast:
             "valuation": {"p": ["x1", "x2"], "q": ["x0", "x2"]},
         }
         assert verdict.witness_state == "x0"
+
+
+# facts over {p, q} for conjunctions whose countermodels need several
+# states: one of each p/q type, and how the blocks split p and q
+_TYPES = ("p & q", "p & ~q", "~p & q", "~p & ~q")
+_FACTS = (
+    "E p", "~E p", "E q", "~E q", "~A S p", "~A S q", "E (p & q)", "~E (p & q)",
+    "A (S p & S ~p)", "~A (S p & S ~p)", "A S (p & q)", "A (S q & S ~q)",
+    "~A (S q & S ~q)", "~A ~(S q & ~S p)", "~A ~(S p & ~S q)", "E (p | q)",
+)
+
+
+def large_countermodel_formulas(seed: int, count: int):
+    """Negated conjunctions of _TYPES (each asserted somewhere, mostly) and
+    two to five _FACTS, drawn from a seeded generator."""
+    rnd = random.Random(seed)
+    for _ in range(count):
+        parts = [f"~A ~({t})" for t in _TYPES if rnd.random() < 0.8]
+        parts += rnd.sample(_FACTS, rnd.randint(2, 5))
+        rnd.shuffle(parts)
+        yield "~(" + " & ".join(parts) + ")"
+
+
+def _reports(text, spec):
+    reports = []
+    for engine in ENGINES:
+        doc = find_countermodel(parse(text), spec, engine).to_report()
+        assert doc.pop("engine") == engine
+        reports.append(doc)
+    assert reports[0] == reports[1], text
+    return reports[0]
+
+
+class TestSymmetryReduction:
+    # the numpy engine scans one representative partition per block-size
+    # shape; the python engine walks every partition
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_representatives_match_a_walk_of_every_partition(self, n):
+        first = {}
+        for rank, rgs in enumerate(rgs_partitions(n)):
+            shape = tuple(sorted(Counter(rgs).values(), reverse=True))
+            first.setdefault(shape, (rank, rgs))
+        assert validity._representatives(n) == tuple(first.values())
+
+    def test_representatives_beyond_the_walk(self):
+        # p(n) shapes, ranks ascending from 0 (one block) to bell(n) - 1
+        # (all singletons, the last string in RGS order)
+        counts = [1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
+        for n, count in enumerate(counts, 1):
+            ranks = [rank for rank, _ in validity._representatives(n)]
+            assert len(ranks) == count
+            assert ranks == sorted(set(ranks))
+            assert (ranks[0], ranks[-1]) == (0, bell_number(n) - 1)
+
+    def test_engines_agree_on_countermodels_of_four_states(self):
+        sizes = Counter()
+        for text in large_countermodel_formulas(2026, 24):
+            doc = _reports(text, EnumerationSpec(4, ("p", "q")))
+            witness = doc["witness"]
+            sizes[len(witness["model"]["states"]) if witness else 0] += 1
+        # most need four states or hold up to them
+        assert sizes == {4: 9, 0: 8, 3: 5, 2: 2}
+
+    @pytest.mark.parametrize(
+        "text, checked, partition",
+        [
+            (
+                "~(~A ~(~p & q) & ~E q & A S q & ~A (S q & S ~q) & E p"
+                " & ~A ~(p & ~q) & ~A ~(~p & ~q))",
+                15_112,
+                [["x0", "x1"], ["x2", "x3"], ["x4"]],
+            ),
+            (
+                "~(~A ~(p & q) & ~A ~(S p & ~S q) & ~E (p & q) & E p & E (p | q)"
+                " & ~A ~(p & ~q) & ~A ~(~p & q) & ~A ~(~p & ~q))",
+                18_704,
+                [["x0", "x1"], ["x2"], ["x3"], ["x4"]],
+            ),
+        ],
+    )
+    def test_engines_agree_on_countermodels_of_five_states(self, text, checked, partition):
+        doc = _reports(text, EnumerationSpec(5, ("p", "q")))
+        assert doc["models_checked"] == checked
+        assert doc["witness"]["model"]["partition"] == partition
+
+    @pytest.mark.parametrize(
+        "limit, checked",
+        [
+            # 356 models of up to 3 states; the witness's partition
+            # [[x0, x1], [x2, x3]] is 4-state rank 3, the representative of
+            # 2 + 2, and the witness is its code 86
+            (356 + 2 * 256 + 10, None),  # in rank 2, not a representative
+            (356 + 3 * 256, None),  # just before the representative
+            (356 + 3 * 256 + 1, None),  # its first code only
+            (356 + 3 * 256 + 86, None),  # just before the witness
+            (356 + 3 * 256 + 87, 356 + 3 * 256 + 87),  # on the witness
+            (356 + 3 * 256 + 88, 356 + 3 * 256 + 87),
+            (356 + 5 * 256 + 3, 356 + 3 * 256 + 87),  # in rank 5, not one
+            (None, 356 + 3 * 256 + 87),
+        ],
+    )
+    def test_limits_around_a_representative(self, limit, checked):
+        text = "~(A (S p & S ~p) & A S q & ~A S (p & q) & ~A ~S (p & q))"
+        doc = _reports(text, EnumerationSpec(4, ("p", "q"), limit))
+        if checked is None:
+            assert doc["status"] == "valid-up-to-bound"
+            assert doc["models_checked"] == limit
+            assert doc["truncated"]
+        else:
+            assert doc["status"] == "countermodel-found"
+            assert doc["models_checked"] == checked
+
+    @pytest.mark.parametrize("limit", [355, 356, 357, 356 + 256 + 5, 356 + 2 * 256 + 5, 4_000])
+    def test_limits_on_a_valid_formula(self, limit):
+        # cuts at the end of size 3, at the first model of size 4, inside
+        # the representative of 3 + 1 and inside the partition after it
+        doc = _reports("p -> S p", EnumerationSpec(4, ("p", "q"), limit))
+        assert doc["models_checked"] == limit
+        assert doc["truncated"]
+
+    def test_models_evaluated(self):
+        spec = EnumerationSpec(7, ("p", "q"))
+        stats = find_countermodel(parse("p -> S p"), spec, "numpy").stats
+        assert stats.models_checked == spec.total_count() == 15_257_700
+        # the representatives of sizes 1-7: sum of p(n) 4^n
+        assert stats.models_evaluated == sum(
+            len(validity._representatives(n)) << 2 * n for n in range(1, 8)
+        ) == 299_492
+        for text, limit in (("p -> S p", None), ("E p | q", None), ("p -> S p", 200)):
+            spec = EnumerationSpec(3, ("p", "q"), limit)
+            stats = find_countermodel(parse(text), spec, "python").stats
+            assert stats.models_evaluated == stats.models_checked
 
 
 class TestCorpus:
