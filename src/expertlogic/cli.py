@@ -15,10 +15,11 @@ Subcommands::
 Formulas are single shell arguments in the concrete grammar; models and
 proofs come from files.  `--json` switches any subcommand to a stable JSON
 document (byte-identical across runs; wall-clock timings only with
-`--timings`).  Exit codes: 2 for any load/parse/usage error, 3 for an
-internal fault (a search witness that fails its re-check); otherwise 0/1
-encode the answer (true/false, agrees/differs, no-countermodel/found,
-proof ok/bad step, sweep clean/violations).
+`--timings`).  Exit codes: 2 for any load/parse/usage error, 3 for any
+internal fault (a search witness that fails its re-check, or any other
+unexpected exception); otherwise 0/1 encode the answer (true/false,
+agrees/differs, no-countermodel/found, proof ok/bad step, sweep
+clean/violations).
 """
 
 from __future__ import annotations
@@ -437,7 +438,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except RuntimeError as e:
+    except Exception as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 3
 

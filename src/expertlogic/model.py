@@ -267,7 +267,7 @@ class ExpertiseModel(_ModelBase):
     """Finite state space, expertise partition, and atom valuation.
 
     `valuation` is stored as sorted (atom, mask) pairs so models hash and
-    compare structurally; use atom_mask()/with_valuation for access.
+    compare structurally; use atom_mask() for access.
     """
 
     states: tuple[str, ...]
@@ -442,6 +442,8 @@ def load_model(path: str) -> ExpertiseModel:
             doc = json.load(fh)
         except json.JSONDecodeError as e:
             raise ModelFormatError(f"invalid JSON in {path}: {e}") from None
+        except RecursionError:
+            raise ModelFormatError(f"invalid JSON in {path}: nested too deeply") from None
     return model_from_dict(doc)
 
 

@@ -31,29 +31,25 @@ representatives alone (bell(n) partitions become p(n) shapes: 877 become
 engine scans representatives; the python engine walks every partition,
 so the two check each other.
 
-One generator, _ranges, walks a size's partitions from a source (all of
-them, or the representatives, as (rank, rgs) pairs) in batches and is
-the only place that applies the spec's limit.  A batch is a run of
-partitions crossed with a window of valuation codes: either several
+Each engine walks the enumeration on its own.  'python' (the reference
+the tests compare the kernel with) is the definition read in order: it
+decodes every model of every size, partition and code one by one
+(_models), cuts the walk after spec.limit models and evaluates each
+through .semantics until one fails, with no numpy and no kernel function
+but the input check, kernels.compile_program.  'numpy' (the default)
+walks each size's shape representatives in batches: a batch is a run of
+representatives crossed with a window of valuation codes, either several
 partitions, each with its whole code space, or one partition and a
 window of its codes, sized so that one kernel slot (P partitions x n
-states x W words of 64 codes) holds at most _BUDGET words.  Each batch
-carries the enumeration position of its partitions' first codes, so a
-falsifying model maps back to its position, and the limit is arithmetic
-on positions: a batch counts only its models before the limit, and the
-walk stops at the first batch with none.  find_countermodel is one loop
-over those batches; the engines differ only in the partition source and
-in how they find a batch's first falsifying model, partition-major and
-then by code, which is the enumeration order, so the verdict does not
-depend on the batch shape.  'numpy' (the default) runs the bit-sliced
-kernel of .kernels over the whole batch and reduces it with
-kernels.first_failure.  'python' is the reference the tests compare the
-kernel with: it decodes the batch's models one by one (_batch_models,
-which also decodes the witness) and evaluates each through .semantics
-until one fails, with no numpy and no kernel function but the input
-check, kernels.compile_program.  Every witness found is re-verified with
-the literal-clause evaluator before the Verdict is built, so a kernel
-bug cannot produce a bogus countermodel.
+states x W words of 64 codes) holds at most _BUDGET words.  It runs the
+bit-sliced kernel of .kernels over a batch, reduces it with
+kernels.first_failure to its first falsifying model, partition-major and
+then by code, which is the enumeration order, and maps that model back
+to its position only when there is one.  It applies the limit twice: it
+stops at the first window whose first position is at or past it, and it
+ignores a falsifying model at or past it.  Every witness found is
+re-verified with the literal-clause evaluator before the Verdict is
+built, so a kernel bug cannot produce a bogus countermodel.
 """
 
 from __future__ import annotations
@@ -61,8 +57,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cache
-from itertools import islice
-from typing import Callable, Iterable, Iterator
+from itertools import chain, islice
+from typing import Iterable, Iterator, Sequence
 
 from . import kernels
 from .formula import Formula, Iff, is_atom_name, parse, render
@@ -83,6 +79,7 @@ def resolve_engine(requested: str | None = None) -> str:
     return name
 
 
+@cache
 def bell_number(n: int) -> int:
     """Number of partitions of an n-element set (triangle recurrence)."""
     row = [1]
@@ -157,11 +154,6 @@ def _representatives(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     return tuple(reps)
 
 
-def _all_partitions(n: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(rank, rgs) of every partition of n states, in RGS order."""
-    return enumerate(rgs_partitions(n))
-
-
 @dataclass(frozen=True)
 class EnumerationSpec:
     """Bound for a search: up to n_states states, valuations over atoms."""
@@ -205,71 +197,35 @@ def _layout(n: int, k: int) -> tuple[int, int]:
     return 1, _BUDGET // n
 
 
-_Source = Callable[[int], Iterable[tuple[int, tuple[int, ...]]]]
-
-
-def _ranges(
-    spec: EnumerationSpec, sizes: Iterable[int], partitions: _Source
-) -> Iterator[
-    tuple[int, tuple[tuple[int, ...], ...], tuple[int, ...], range, int]
-]:
-    """The models of the given sizes whose partitions come from
-    `partitions` (n -> (rank, rgs) pairs in rank order), as batches
-    (n, rgss, starts, codes, count): the partitions' restricted growth
-    strings, the position of each one's first code of the window counted
-    from the first of the given sizes, the window of valuation codes each
-    of them takes, and how many of the batch's models, partition-major,
-    come before spec.limit.  Those models are a prefix of the batch, as
-    positions grow along the walk; it stops at the first batch with
-    none."""
-    k = len(spec.atoms)
-    first = 0
-    for n in sizes:
-        batch, window = _layout(n, k)
-        codes_total = 1 << (n * k)
-        source = iter(partitions(n))
-        while chunk := tuple(islice(source, batch)):
-            ranks, rgss = zip(*chunk)
-            for start in range(0, codes_total, window << 6):
-                codes = range(start, min(start + (window << 6), codes_total))
-                starts = tuple(first + r * codes_total + start for r in ranks)
-                count = len(rgss) * len(codes)
-                if spec.limit is not None:
-                    count = sum(min(len(codes), max(0, spec.limit - s)) for s in starts)
-                    if count == 0:
-                        return
-                yield n, rgss, starts, codes, count
-        first += spec.size_count(n)
-
-
-def _batch_models(
+def _models(
     n: int,
-    rgss: tuple[tuple[int, ...], ...],
     atoms: tuple[str, ...],
-    codes: range,
-    count: int,
+    rgss: Iterable[tuple[int, ...]],
+    codes: Sequence[int],
 ) -> Iterator[ExpertiseModel]:
-    """The first `count` models of a batch from _ranges, partition-major
-    and then by code, with one Partition built per partition."""
+    """The models of n states with the given partitions (as restricted
+    growth strings) and valuation codes over atoms, partition-major and
+    then by code, with one Partition built per partition."""
     states = tuple(f"x{i}" for i in range(n))
     full = (1 << n) - 1
     for rgs in rgss:
         partition = Partition.from_blocks(blocks_from_rgs(rgs))
-        for code in codes[:count]:
+        for code in codes:
             valuation = tuple(
                 (atom, (code >> (j * n)) & full) for j, atom in enumerate(atoms)
             )
             yield ExpertiseModel(states, partition, valuation)
-        count -= len(codes)
-        if count <= 0:
-            return
+
+
+def _size_models(n: int, atoms: tuple[str, ...]) -> Iterator[ExpertiseModel]:
+    """Every model of exactly n states over atoms, in enumeration order."""
+    return _models(n, atoms, rgs_partitions(n), range(1 << (n * len(atoms))))
 
 
 def enumerate_models(spec: EnumerationSpec) -> Iterator[ExpertiseModel]:
     """All models with exactly spec.n_states states, in enumeration order;
     at most spec.limit of them."""
-    for n, rgss, _, codes, count in _ranges(spec, (spec.n_states,), _all_partitions):
-        yield from _batch_models(n, rgss, spec.atoms, codes, count)
+    return islice(_size_models(spec.n_states, spec.atoms), spec.limit)
 
 
 @dataclass(frozen=True)
@@ -365,44 +321,24 @@ def find_countermodel(
     """First model in enumeration order falsifying the formula, if any.
 
     The witness state is the least state of that model where the formula
-    fails.  The numpy engine evaluates each batch of shape representatives
-    from _ranges whole with the kernel and reduces it to its least
-    falsifying model; the python engine walks every partition, model by
-    model up to the first falsifying one.  By the symmetry argument in the
-    module docstring both find the same model at the same position, so
-    the result is identical across engines and batch shapes.  A falsifying
-    model at or past the limit ends the search without a witness.
-    compile_program is the input check for both engines.
+    fails.  The python engine walks every model, in order, up to the first
+    falsifying one or the limit; the numpy engine evaluates batches of
+    shape representatives with the kernel, stops at the first batch window
+    that starts at or past the limit and drops a falsifying model at or
+    past it.  By the symmetry argument in the module docstring both find
+    the same model at the same position, so the result is identical
+    across engines and batch shapes.  compile_program is the input check
+    for both engines.
     """
     started = time.perf_counter()
     program = kernels.compile_program(formula, spec.atoms)
     engine = resolve_engine(engine)
-    partitions = _representatives if engine == "numpy" else _all_partitions
     total = spec.total_count()
-    checked = total if spec.limit is None else min(spec.limit, total)
-    evaluated = 0
-    hit = None
-    for n, rgss, starts, codes, count in _ranges(
-        spec, range(1, spec.n_states + 1), partitions
-    ):
-        if engine == "numpy":
-            words = -(-len(codes) // 64)
-            planes = kernels.atom_planes(n, len(spec.atoms), codes.start >> 6, words)
-            out = kernels.eval_chunk(program, planes, kernels.same_block(rgss))
-            found = kernels.first_failure(out, len(codes))
-            evaluated += len(rgss) * len(codes)
-        else:
-            models = _batch_models(n, rgss, spec.atoms, codes, count)
-            found = _python_first_failure(formula, models)
-            evaluated += count if found is None else found[0] + 1
-        if found is not None:
-            index, state = found
-            if index < count:
-                p, offset = divmod(index, len(codes))
-                checked = starts[p] + offset + 1
-                model = next(_batch_models(n, rgss[p:], spec.atoms, codes[offset:], 1))
-                hit = model, model.states[state]
-            break
+    limit = total if spec.limit is None else min(spec.limit, total)
+    if engine == "numpy":
+        checked, evaluated, hit = _kernel_walk(program, spec, limit)
+    else:
+        checked, evaluated, hit = _reference_walk(formula, spec, limit)
     stats = SearchStats(
         models_checked=checked,
         truncated=hit is None and checked < total,
@@ -415,17 +351,60 @@ def find_countermodel(
     return Verdict.found(formula, spec, stats, *hit)
 
 
-def _python_first_failure(
-    formula: Formula, models: Iterable[ExpertiseModel]
-) -> tuple[int, int] | None:
-    """(position, least falsified state) of the first model where the
-    formula's extension, through semantics.extension, is not the whole
-    space; None if it holds in every model."""
-    for position, model in enumerate(models):
+_Hit = tuple[ExpertiseModel, str]
+
+
+def _reference_walk(
+    formula: Formula, spec: EnumerationSpec, limit: int
+) -> tuple[int, int, _Hit | None]:
+    """(models checked, models evaluated, witness or None): the first
+    `limit` models in enumeration order, each evaluated through
+    semantics.extension until one falls short of the whole space."""
+    models = chain.from_iterable(
+        _size_models(n, spec.atoms) for n in range(1, spec.n_states + 1)
+    )
+    for checked, model in enumerate(islice(models, limit), 1):
         missing = model.full_mask & ~extension(model, formula)
         if missing:
-            return position, (missing & -missing).bit_length() - 1
-    return None
+            state = model.states[(missing & -missing).bit_length() - 1]
+            return checked, checked, (model, state)
+    return limit, limit, None
+
+
+def _kernel_walk(
+    program: kernels.Program, spec: EnumerationSpec, limit: int
+) -> tuple[int, int, _Hit | None]:
+    """(models checked, models evaluated, witness or None): each size's
+    shape representatives in _layout batches and code windows, each
+    window evaluated whole by the kernel; positions before `limit` only."""
+    k = len(spec.atoms)
+    first = evaluated = 0
+    for n in range(1, spec.n_states + 1):
+        batch, window = _layout(n, k)
+        codes_total = 1 << (n * k)
+        reps = _representatives(n)
+        for i in range(0, len(reps), batch):
+            ranks, rgss = zip(*reps[i : i + batch])
+            same = kernels.same_block(rgss)
+            for start in range(0, codes_total, window << 6):
+                if first + ranks[0] * codes_total + start >= limit:
+                    return limit, evaluated, None
+                per = min(window << 6, codes_total - start)
+                planes = kernels.atom_planes(n, k, start >> 6, -(-per // 64))
+                out = kernels.eval_chunk(program, planes, same)
+                evaluated += len(rgss) * per
+                found = kernels.first_failure(out, per)
+                if found is not None:
+                    index, state = found
+                    p, offset = divmod(index, per)
+                    code = start + offset
+                    position = first + ranks[p] * codes_total + code
+                    if position >= limit:
+                        return limit, evaluated, None
+                    model = next(_models(n, spec.atoms, rgss[p : p + 1], (code,)))
+                    return position + 1, evaluated, (model, model.states[state])
+        first += spec.size_count(n)
+    return limit, evaluated, None
 
 
 def check_equivalence(

@@ -157,6 +157,18 @@ class TestExtension:
         assert proc.stderr.startswith("error: "), proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("argv", [("eval", "p"), ("to-s5",)])
+    def test_deeply_nested_model_is_a_format_error(self, capsys, tmp_path, argv):
+        # the JSON decoder gives up on 2,000 nested arrays with a
+        # RecursionError: a bad input, not a fault of the program
+        path = tmp_path / "model.json"
+        path.write_text('{"states": ' + "[" * 2000 + "]" * 2000 + "}")
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: invalid JSON in "), err
+        assert "nested too deeply" in err
+
 
 class TestTranslate:
     def test_both_forms(self, capsys):
@@ -320,6 +332,18 @@ class TestCountermodel:
         assert out == ""
         assert err.startswith("internal error: ")
         assert "does not falsify" in err
+
+    def test_unexpected_exception_is_an_internal_error(self, capsys, monkeypatch):
+        # any exception the program does not expect is a fault of the
+        # program: exit 3, never the answer code 1 or a traceback
+        def broken(out, per):
+            raise TypeError("first_failure is broken")
+
+        monkeypatch.setattr(kernels, "first_failure", broken)
+        code, out, err = run(capsys, "countermodel", "p -> S p")
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: first_failure is broken\n"
 
 
 class TestEquiv:

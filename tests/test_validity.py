@@ -42,6 +42,16 @@ class TestCounting:
     def test_bell_numbers(self):
         assert [bell_number(n) for n in range(7)] == [1, 1, 2, 5, 15, 52, 203]
 
+    def test_bell_numbers_are_computed_once(self):
+        # every search counts its space, so the triangle is built once per n
+        spec = EnumerationSpec(5, ("p",))
+        spec.total_count()
+        before = bell_number.cache_info()
+        assert spec.total_count() == EnumerationSpec(5, ("p",)).total_count()
+        after = bell_number.cache_info()
+        assert after.misses == before.misses
+        assert after.hits == before.hits + 2 * 5
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     def test_rgs_count_matches_reference_partitions(self, n):
         got = list(rgs_partitions(n))
@@ -336,6 +346,28 @@ class TestSearch:
         # takes two windows for each of its 11 shapes
         assert len(slots) == 1 + 1 + 1 + 1 + 2 + 11 * 2
 
+    def test_kernel_masks_are_built_once_per_batch(self, monkeypatch):
+        # one same_block mask per batch of representatives, shared by all
+        # of its code windows: size 6's 11 shapes take 22 kernel calls
+        # but 11 masks
+        calls = Counter()
+        same_block, eval_chunk = kernels.same_block, kernels.eval_chunk
+
+        def counted_same_block(rgss):
+            calls["same_block"] += 1
+            return same_block(rgss)
+
+        def counted_eval_chunk(program, planes, same):
+            calls["eval_chunk"] += 1
+            return eval_chunk(program, planes, same)
+
+        monkeypatch.setattr(kernels, "same_block", counted_same_block)
+        monkeypatch.setattr(kernels, "eval_chunk", counted_eval_chunk)
+        spec = EnumerationSpec(6, ("p", "q", "r"))
+        verdict = find_countermodel(parse("p -> S p"), spec, "numpy")
+        assert verdict.stats.models_checked == spec.total_count()
+        assert calls == {"same_block": 1 + 1 + 1 + 1 + 2 + 11, "eval_chunk": 28}
+
     def test_python_engine_builds_each_partition_once(self, monkeypatch):
         built = []
         from_blocks = Partition.from_blocks.__func__
@@ -417,6 +449,23 @@ class TestPythonEngineIsIndependent:
             assert verdict.status == "valid-up-to-bound"
             assert verdict.stats.truncated is (limit is not None)
         with pytest.raises(AssertionError, match="called kernels"):
+            find_countermodel(parse(text), spec, "numpy")
+
+    @pytest.mark.parametrize("text, n, atoms, limit, checked, state", PINNED)
+    def test_runs_without_the_kernel_walk(self, monkeypatch, text, n, atoms, limit, checked, state):
+        # nor does it share the kernel's batch layout or its partition
+        # source: it walks every partition in enumeration order
+        for name in ("_layout", "_representatives"):
+
+            def refuse(*args, name=name):
+                raise AssertionError(f"the python engine called validity.{name}")
+
+            monkeypatch.setattr(validity, name, refuse)
+        spec = EnumerationSpec(n, atoms, limit)
+        verdict = find_countermodel(parse(text), spec, "python")
+        assert verdict.stats.models_checked == checked
+        assert verdict.witness_state == state
+        with pytest.raises(AssertionError, match="called validity"):
             find_countermodel(parse(text), spec, "numpy")
 
 
