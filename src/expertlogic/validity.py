@@ -50,6 +50,10 @@ stops at the first window whose first position is at or past it, and it
 ignores a falsifying model at or past it.  Every witness found is
 re-verified with the literal-clause evaluator before the Verdict is
 built, so a kernel bug cannot produce a bogus countermodel.
+
+This module does not import .kernels at load time: find_countermodel
+imports it, and numpy with it, at the first search and before its clock
+starts, so a process that never searches never loads numpy.
 """
 
 from __future__ import annotations
@@ -60,7 +64,6 @@ from functools import cache
 from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
 
-from . import kernels
 from .formula import Formula, Iff, is_atom_name, parse, render
 from .model import ExpertiseModel, Mask, Partition, model_to_dict
 from .semantics import extension, holds
@@ -330,6 +333,8 @@ def find_countermodel(
     across engines and batch shapes.  compile_program is the input check
     for both engines.
     """
+    from . import kernels  # numpy loads at the first search, off the clock
+
     started = time.perf_counter()
     program = kernels.compile_program(formula, spec.atoms)
     engine = resolve_engine(engine)
@@ -377,6 +382,8 @@ def _kernel_walk(
     """(models checked, models evaluated, witness or None): each size's
     shape representatives in _layout batches and code windows, each
     window evaluated whole by the kernel; positions before `limit` only."""
+    from . import kernels
+
     k = len(spec.atoms)
     first = evaluated = 0
     for n in range(1, spec.n_states + 1):
