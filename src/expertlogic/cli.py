@@ -340,7 +340,7 @@ def _add_search_flags(p, atoms_default: str) -> None:
     p.add_argument(
         "--engine",
         choices=ENGINES,
-        help="evaluation engine (default: numpy; python is the slow reference)",
+        help="evaluation engine (default: bitslice; python is the slow reference)",
     )
     p.add_argument(
         "--timings",

@@ -10,56 +10,68 @@ the op, so only the live part of the program holds memory.
 
 The layout is bit-sliced (Biham, "A fast new DES implementation in
 software", FSE 1997): each bit of a word belongs to a different model,
-so one word op evaluates 64 models.  A slot is a uint64 array of shape
-(P, n, W) for a batch of P partitions of n states and a window of W
-words of valuation codes.  In row i, bit t of word w says whether state
-i is in the extension of the model with valuation code 64*(first + w) + t
-under partition p.  Code bit j*n + i is atom j's value at state i, so an
-atom's rows are constants: for code bits below 6 a fixed word (0xAAAA...,
-0xCCCC..., 0xF0F0..., ...), for higher bits a pattern of all-ones and
-all-zero words (atom_planes).  Rows or partitions that do not vary are
-kept as axes of length 1 and broadcast: an atom is (1, n, W), and E and A
-give (P, 1, W).
+and the word is a Python int, so one int op evaluates every model of a
+window at once.  A window is 2^w consecutive valuation codes, starting
+at a multiple of 2^w, under one partition of n states; bit t of a value
+is the model with code start + t.  Code bit j*n + i is atom j's value at
+state i, so an atom's rows are constants of the window: for code bits
+below w a fixed periodic int (bit t is bit b of t), for higher bits
+all-ones or zero (atom_planes).
+
+The partition is given by its block ends, and its blocks are contiguous
+runs of states, as the search's shape representatives are.  Each op has
+a static level, recorded in Program.levels, that says what its value
+holds:
+
+    ROW     a list of n ints, one per state (an atom)
+    BLOCK   a list of ints, one per block (S)
+    GLOBAL  one int, the same at every state (T, E, A)
+
+~ keeps its operand's level and & takes the finer of its operands'
+levels, so a value is never wider than its op needs.
+
+Each op also has a static polarity, recorded in Program.negated: the slot
+of a negated op holds the complement of the op's value.  So ~ costs
+nothing, since it shares its operand's slot with the polarity flipped,
+and the other ops read complements by De Morgan: ~u & ~v is stored as
+u | v, u & ~v as u ^ (u & v), S ~u as the per-block AND of u and A ~u as
+the OR of u's rows, both negated; E reads a block as split in either
+polarity.  A derived connective thus costs one row op (|) or two (->)
+instead of four or three.
 
 Opcodes, as (opcode, a, b) with slot[a] and slot[b] the operands::
 
-    OP_ATOM  slot = planes[a]        (a == -1 gives the whole space: T)
+    OP_ATOM  the rows of atom column a (a == -1 gives the whole window: T)
     OP_NOT   ~slot[a]
     OP_AND   slot[a] & slot[b]
-    OP_E     AND over rows of ~(S slot[a] ^ slot[a]): ||f|| is a union
-             of blocks exactly when it equals its block-closure
-    OP_S     block-closure: row i is the OR of the rows in i's block,
-             selected by the all-ones/all-zero (P, n, n) mask `same`
+    OP_E     AND over blocks of (all rows | ~any row): ||f|| is a union
+             of blocks exactly when no block is split
+    OP_S     per block, the OR of the block's rows
     OP_A     AND over rows of slot[a]
 
-Unary ops repeat their operand in b.  Bits of a word past the end of the
-code space are evaluated like any other; first_failure, which reduces a
-root slot to the least falsified model and its least falsified state,
-ignores them.  The test suite pins the kernel to the pure-Python
-evaluators in semantics.
+Unary ops repeat their operand in b.  Each op costs O(n) int ops.  The
+test suite pins the kernel to the pure-Python evaluators in semantics.
 
-Memory.  validity imports this module, and numpy with it, at the first
-search, so the other commands never load numpy.  A batch's arrays are
-freed when it ends, and glibc's malloc gives a free heap top larger than
-its trim threshold (128 KiB at start) back to the system.  Without care
-the next search then faults the same pages in again: 1,600 to 2,300
-minor faults per search for p -> S p at 6 states over {p, q, r}, against
-none with the step below.  Freeing a block that malloc served by mmap
-raises the mmap threshold to that block's size and the trim threshold to
-twice that (the dynamic mmap threshold of mallopt(3)).  So importing this
-module allocates and frees one 8 MiB block, larger than any array a
-batch allocates; atom_planes is the largest, at most k * validity._BUDGET
-words, 6 MiB at 48 atoms.  From then on every batch array comes from the
-heap, and its pages stay mapped for the next search.  The block is never
-written, so it costs no resident memory, and an allocator without that
-rule ignores it.
+Memory.  A window's ints are freed when its call ends, and glibc's malloc
+gives a free heap top larger than its trim threshold (128 KiB at start)
+back to the system.  Without care the next search then faults the same
+pages in again: about 60 minor faults per search for p -> S p at 6
+states over {p, q, r} or over {p, q, r, s}, against none with the step
+below.  Freeing a block that malloc served by mmap raises the mmap
+threshold to that block's size and the trim threshold to twice that
+(the dynamic mmap threshold of mallopt(3)).  So importing this module allocates and frees
+one zeroed 8 MiB block, larger than any int a window holds (at most
+2^WINDOW_BITS bits, 32 KiB).  From then on the search's ints come from
+the heap, and their pages stay mapped for the next search.  The block
+comes from calloc and is never written, so it costs no resident memory,
+and an allocator without that rule ignores it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cache, reduce
+from operator import and_, or_, xor
 
 from .formula import (
     And,
@@ -82,21 +94,24 @@ OP_A = 5
 
 _OPCODE = {Not: OP_NOT, And: OP_AND, ModalE: OP_E, ModalS: OP_S, ModalA: OP_A}
 
-# keeps freed batch pages mapped between searches (module docstring)
-np.empty(8 << 20, dtype=np.uint8)
+# levels, finest first: & takes the smaller of its operands'
+ROW = 0
+BLOCK = 1
+GLOBAL = 2
 
-_ALL_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
-# for code bits b < 6, the word whose bit t is bit b of t: 0xAAAA...,
-# 0xCCCC..., 0xF0F0..., 0xFF00..., 0xFFFF0000..., 0xFFFFFFFF00000000
-_LOW_WORDS = np.array(
-    [sum(1 << t for t in range(64) if t >> b & 1) for b in range(6)], dtype=np.uint64
-)
+# log2 of the most codes one eval_chunk call evaluates
+WINDOW_BITS = 18
+
+# keeps freed window pages mapped between searches (module docstring)
+bytes(8 << 20)
 
 
 @dataclass(frozen=True)
 class Program:
     """One formula as (opcode, a, b) ops, fixed to an atom order.
 
+    levels[t] is op t's level (ROW, BLOCK or GLOBAL) and negated[t] its
+    polarity: whether slot t holds the complement of op t's value.
     frees[t] lists the slots whose last reader is op t; the root's slot is
     never freed.
     """
@@ -104,6 +119,8 @@ class Program:
     ops: tuple[tuple[int, int, int], ...]
     atom_order: tuple[str, ...]
     frees: tuple[tuple[int, ...], ...]
+    levels: tuple[int, ...]
+    negated: tuple[bool, ...]
 
 
 def compile_program(f: Formula, atom_order) -> Program:
@@ -114,25 +131,44 @@ def compile_program(f: Formula, atom_order) -> Program:
     or a proof metavariable) is rejected as soon as the walk meets it;
     atoms outside `atom_order` are rejected after the walk, all of them,
     sorted.  The constant T needs no column: it compiles to an atom op
-    reading column -1, the whole space.
+    reading column -1, the whole window.
     """
     index = {a: i for i, a in enumerate(atom_order)}
     slot: dict[Formula, int] = {}
     ops: list[tuple[int, int, int]] = []
+    levels: list[int] = []
+    negated: list[bool] = []
     last_reader: dict[int, int] = {}
     loose: set[str] = set()
     for g in subformulas(f):
         if isinstance(g, Top):
             ops.append((OP_ATOM, -1, -1))
+            levels.append(GLOBAL)
+            negated.append(False)
         elif isinstance(g, Atom):
             column = index.get(g.name, -1)
             if g.name not in index:
                 loose.add(g.name)
             ops.append((OP_ATOM, column, column))
+            levels.append(ROW)
+            negated.append(False)
         elif type(g) in _OPCODE:
+            op = _OPCODE[type(g)]
             a, b = slot[g.children[0]], slot[g.children[-1]]
             last_reader[a] = last_reader[b] = len(ops)
-            ops.append((_OPCODE[type(g)], a, b))
+            ops.append((op, a, b))
+            if op == OP_S:
+                levels.append(max(levels[a], BLOCK))
+            elif op in (OP_E, OP_A):
+                levels.append(GLOBAL)
+            else:
+                levels.append(min(levels[a], levels[b]))
+            if op == OP_NOT:
+                negated.append(not negated[a])
+            elif op == OP_E:
+                negated.append(False)
+            else:
+                negated.append(negated[a] and negated[b])
         else:
             raise ValueError("bounded search covers only E/S/A formulas")
         slot[g] = len(ops) - 1
@@ -144,82 +180,117 @@ def compile_program(f: Formula, atom_order) -> Program:
     frees: list[tuple[int, ...]] = [()] * len(ops)
     for s, t in last_reader.items():
         frees[t] += (s,)
-    return Program(ops=tuple(ops), atom_order=tuple(atom_order), frees=tuple(frees))
+    return Program(
+        ops=tuple(ops),
+        atom_order=tuple(atom_order),
+        frees=tuple(frees),
+        levels=tuple(levels),
+        negated=tuple(negated),
+    )
 
 
-def atom_planes(n: int, k: int, first: int, words: int) -> np.ndarray:
-    """The rows of k atoms over n states in the code window of `words`
-    words starting at word `first`, as a (k, n, words) uint64 array."""
-    bits = n * k
-    planes = np.empty((bits, words), dtype=np.uint64)
-    low = min(bits, 6)
-    planes[:low] = _LOW_WORDS[:low, None]
-    if bits > 6:
-        w = np.arange(first, first + words, dtype=np.uint64)
-        high = np.arange(bits - 6, dtype=np.uint64)[:, None]
-        planes[6:] = ((w >> high) & np.uint64(1)) * _ALL_ONES
-    return planes.reshape(k, n, words)
+@cache
+def _low_planes(w: int) -> tuple[int, ...]:
+    """For a window of 2^w codes, the int whose bit t is bit b of t, for
+    each b < w, then the whole window.  Built by doubling: a period of
+    2^b zeros and 2^b ones, copied up to 2^w bits."""
+    size = 1 << w
+    planes = []
+    for b in range(w):
+        p = ((1 << (1 << b)) - 1) << (1 << b)
+        width = 2 << b
+        while width < size:
+            p |= p << width
+            width <<= 1
+        planes.append(p)
+    planes.append((1 << size) - 1)
+    return tuple(planes)
 
 
-def same_block(rgss) -> np.ndarray:
-    """The (P, n, n) mask of P partitions given as restricted growth
-    strings: all-ones where states i and j share a block, else zero."""
-    r = np.asarray(rgss)
-    return np.where(r[:, :, None] == r[:, None, :], _ALL_ONES, np.uint64(0))
+def atom_planes(n: int, k: int, start: int, w: int) -> list[int]:
+    """The rows of k atoms over n states in the window of 2^w codes from
+    `start` (a multiple of 2^w, and w at most n*k): code bit j*n + i at
+    index j*n + i, then the whole window at index -1."""
+    low = _low_planes(w)
+    full = low[-1]
+    high = [full if start >> b & 1 else 0 for b in range(w, n * k)]
+    return [*low[:-1], *high, full]
 
 
-def _saturate(f: np.ndarray, same: np.ndarray) -> np.ndarray:
-    # one column of the mask at a time, so no temporary outgrows a slot;
-    # a slot with one row is the same at every state, hence its own closure
-    if f.shape[1] == 1:
-        return f
-    out = same[:, :, 0, None] & f[:, None, 0]
-    for j in range(1, f.shape[1]):
-        out |= same[:, :, j, None] & f[:, None, j]
-    return out
-
-
-def eval_chunk(program: Program, planes: np.ndarray, same: np.ndarray) -> np.ndarray:
-    """Extensions of the compiled formula across a batch: planes from
-    atom_planes, same from same_block.  Returns the root's slot, of shape
-    (P or 1, n or 1, W)."""
-    words = planes.shape[-1]
-    slots: list[np.ndarray | None] = [None] * len(program.ops)
+def eval_chunk(program: Program, planes: list[int], ends) -> list[int]:
+    """The root's rows over one window: planes from atom_planes, ends the
+    partition's block ends (state i is in the block that ends first past
+    i).  A ROW or BLOCK root comes back as one int per state; a GLOBAL
+    root as a single row that stands for every state."""
+    n = ends[-1]
+    full = planes[-1]
+    spans = list(zip([0, *ends], ends))
+    levels, negated = program.levels, program.negated
+    slots: list = [None] * len(program.ops)
     for t, (op, a, b) in enumerate(program.ops):
         if op == OP_ATOM:
-            ext = planes[None, a] if a >= 0 else np.full((1, 1, words), _ALL_ONES)
-        elif op == OP_NOT:
-            ext = ~slots[a]
+            slots[t] = full if a < 0 else planes[a * n : a * n + n]
+            continue
+        x, level = slots[a], levels[a]
+        if op == OP_NOT:
+            ext = x
         elif op == OP_AND:
-            ext = slots[a] & slots[b]
+            y, lb = slots[b], levels[b]
+            if negated[a] == negated[b]:
+                f = or_ if negated[a] else and_
+            else:
+                f = _and_not
+                if negated[a]:
+                    x, level, y, lb = y, lb, x, level
+            if level != lb:
+                ext = _broadcast(f, x, level, y, lb, spans)
+            elif level == GLOBAL:
+                ext = f(x, y)
+            elif f is _and_not:
+                # _and_not row by row, without a Python call per row
+                ext = list(map(xor, x, map(and_, x, y)))
+            else:
+                ext = list(map(f, x, y))
         elif op == OP_S:
-            ext = _saturate(slots[a], same)
+            if level == ROW:
+                f = and_ if negated[a] else or_
+                ext = [reduce(f, x[s:e]) for s, e in spans]
+            else:
+                ext = x
         elif op == OP_E:
-            f = slots[a]
-            ext = np.bitwise_and.reduce(~(_saturate(f, same) ^ f), axis=1, keepdims=True)
+            ext = full
+            if level == ROW:
+                split = 0
+                for s, e in spans:
+                    if e - s > 1:
+                        rows = x[s:e]
+                        split |= reduce(or_, rows) ^ reduce(and_, rows)
+                ext ^= split
         else:
-            ext = np.bitwise_and.reduce(slots[a], axis=1, keepdims=True)
+            ext = x if level == GLOBAL else reduce(or_ if negated[a] else and_, x)
         slots[t] = ext
         for s in program.frees[t]:
             slots[s] = None
-    return slots[-1]
+    root = slots[-1]
+    if levels[-1] == GLOBAL:
+        root = [root]
+    elif levels[-1] == BLOCK:
+        root = [v for v, (s, e) in zip(root, spans) for _ in range(s, e)]
+    return list(map(full.__xor__, root)) if negated[-1] else root
 
 
-def first_failure(out: np.ndarray, per: int) -> tuple[int, int] | None:
-    """The least model of a batch where the root slot `out` is not the
-    whole space, as (position, state): the position counts partition-major
-    and then by code, with `per` codes in each partition's window, and the
-    state is the least one outside the extension.  None if every model
-    holds.  Bits of a one-word window past `per` are ignored."""
-    fails = ~np.bitwise_and.reduce(out, axis=1)
-    if per < 64:
-        fails &= np.uint64((1 << per) - 1)
-    ps, ws = fails.nonzero()
-    if not ps.size:
-        return None
-    p, w = int(ps[0]), int(ws[0])
-    word = int(fails[p, w])
-    t = (word & -word).bit_length() - 1
-    rows = out[p, :, w].tolist()
-    return p * per + w * 64 + t, next(i for i, r in enumerate(rows) if not r >> t & 1)
+def _and_not(u: int, v: int) -> int:
+    """u & ~v, without the negative int that ~v would make."""
+    return u ^ (u & v)
 
+
+def _broadcast(f, x, lx: int, y, ly: int, spans) -> list[int]:
+    """f(x, y) row by row for operands of different levels, the coarser
+    one repeated over the finer one's rows."""
+    if lx > ly:
+        if lx == GLOBAL:
+            return [f(x, v) for v in y]
+        return [f(u, v) for u, (s, e) in zip(x, spans) for v in y[s:e]]
+    if ly == GLOBAL:
+        return [f(u, y) for u in x]
+    return [f(u, v) for v, (s, e) in zip(y, spans) for u in x[s:e]]

@@ -27,7 +27,7 @@ first representative that has a countermodel has a shape whose
 representative comes even earlier and has none; so that representative
 holds the size's enumeration-least countermodel, and scanning the
 representatives alone (bell(n) partitions become p(n) shapes: 877 become
-15 at 7 states) finds the same witness at the same position.  The numpy
+15 at 7 states) finds the same witness at the same position.  The bitslice
 engine scans representatives; the python engine walks every partition,
 so the two check each other.
 
@@ -35,48 +35,43 @@ Each engine walks the enumeration on its own.  'python' (the reference
 the tests compare the kernel with) is the definition read in order: it
 decodes every model of every size, partition and code one by one
 (_models), cuts the walk after spec.limit models and evaluates each
-through .semantics until one fails, with no numpy and no kernel function
-but the input check, kernels.compile_program.  'numpy' (the default)
-walks each size's shape representatives in batches: a batch is a run of
-representatives crossed with a window of valuation codes, either several
-partitions, each with its whole code space, or one partition and a
-window of its codes, sized so that one kernel slot (P partitions x n
-states x W words of 64 codes) holds at most _BUDGET words.  It runs the
-bit-sliced kernel of .kernels over a batch, reduces it with
-kernels.first_failure to its first falsifying model, partition-major and
-then by code, which is the enumeration order, and maps that model back
-to its position only when there is one.  It applies the limit twice: it
-stops at the first window whose first position is at or past it, and it
-ignores a falsifying model at or past it.  Every witness found is
-re-verified with the literal-clause evaluator before the Verdict is
-built, so a kernel bug cannot produce a bogus countermodel.
-
-This module does not import .kernels at load time: find_countermodel
-imports it, and numpy with it, at the first search and before its clock
-starts, so a process that never searches never loads numpy.
+through .semantics until one fails, with no kernel function but the
+input check, kernels.compile_program.  'bitslice' (the default) walks
+each size's shape representatives in rank order and, for each, its
+valuation codes in windows of 2^w codes, w = min(n*k, kernels.WINDOW_BITS),
+in code order: that is the enumeration order.  A representative's blocks
+are contiguous, so the kernel takes the partition as its block ends.
+Each window is one kernels.eval_chunk call; the codes where some row of
+the root is clear fail, the least of them is the window's first
+falsifying model and the least clear row its state, and that model is
+mapped back to its position only when there is one.  The walk applies
+the limit twice: it stops at the first window whose first position is
+at or past it, and it ignores a falsifying model at or past it.  Every
+witness found is re-verified with the literal-clause evaluator before
+the Verdict is built, so a kernel bug cannot produce a bogus
+countermodel.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from itertools import chain, islice
+from operator import and_
 from typing import Iterable, Iterator, Sequence
 
+from . import kernels
 from .formula import Formula, Iff, is_atom_name, parse, render
 from .model import ExpertiseModel, Mask, Partition, model_to_dict
 from .semantics import extension, holds
 
-ENGINES = ("numpy", "python")
-
-# most words a kernel slot of one batch may hold (128 KiB)
-_BUDGET = 1 << 14
+ENGINES = ("bitslice", "python")
 
 
 def resolve_engine(requested: str | None = None) -> str:
-    """The engine a search runs on: the one named, else numpy."""
-    name = requested or "numpy"
+    """The engine a search runs on: the one named, else bitslice."""
+    name = requested or "bitslice"
     if name not in ENGINES:
         raise ValueError(f"unknown engine {name!r} (use one of {', '.join(ENGINES)})")
     return name
@@ -189,17 +184,6 @@ class EnumerationSpec:
         return sum(self.size_count(n) for n in range(1, self.n_states + 1))
 
 
-def _layout(n: int, k: int) -> tuple[int, int]:
-    """(partitions per batch, words per window) for size n over k atoms.
-    A code space that fits the budget n times or more is batched whole,
-    several partitions at once; a larger one is cut into windows of one
-    partition."""
-    words = max(1, (1 << (n * k)) >> 6)
-    if n * words <= _BUDGET:
-        return _BUDGET // (n * words), words
-    return 1, _BUDGET // n
-
-
 def _models(
     n: int,
     atoms: tuple[str, ...],
@@ -236,7 +220,7 @@ class SearchStats:
     """models_checked counts the models decided, in enumeration order: up
     to and including the witness, or up to the limit or the bound.
     models_evaluated counts the models the engine actually evaluated; the
-    numpy engine evaluates only each shape's representative partition, so
+    bitslice engine evaluates only each shape's representative partition, so
     it may be far below models_checked."""
 
     models_checked: int
@@ -325,22 +309,20 @@ def find_countermodel(
 
     The witness state is the least state of that model where the formula
     fails.  The python engine walks every model, in order, up to the first
-    falsifying one or the limit; the numpy engine evaluates batches of
-    shape representatives with the kernel, stops at the first batch window
-    that starts at or past the limit and drops a falsifying model at or
-    past it.  By the symmetry argument in the module docstring both find
-    the same model at the same position, so the result is identical
-    across engines and batch shapes.  compile_program is the input check
+    falsifying one or the limit; the bitslice engine evaluates the shape
+    representatives' code windows with the kernel, stops at the first
+    window that starts at or past the limit and drops a falsifying model
+    at or past it.  By the symmetry argument in the module docstring both
+    find the same model at the same position, so the result is identical
+    across engines and window sizes.  compile_program is the input check
     for both engines.
     """
-    from . import kernels  # numpy loads at the first search, off the clock
-
     started = time.perf_counter()
     program = kernels.compile_program(formula, spec.atoms)
     engine = resolve_engine(engine)
     total = spec.total_count()
     limit = total if spec.limit is None else min(spec.limit, total)
-    if engine == "numpy":
+    if engine == "bitslice":
         checked, evaluated, hit = _kernel_walk(program, spec, limit)
     else:
         checked, evaluated, hit = _reference_walk(formula, spec, limit)
@@ -380,36 +362,34 @@ def _kernel_walk(
     program: kernels.Program, spec: EnumerationSpec, limit: int
 ) -> tuple[int, int, _Hit | None]:
     """(models checked, models evaluated, witness or None): each size's
-    shape representatives in _layout batches and code windows, each
-    window evaluated whole by the kernel; positions before `limit` only."""
-    from . import kernels
-
+    shape representatives in rank order, each one's codes in windows in
+    code order, each window evaluated whole by the kernel; positions
+    before `limit` only."""
     k = len(spec.atoms)
     first = evaluated = 0
     for n in range(1, spec.n_states + 1):
-        batch, window = _layout(n, k)
+        w = min(n * k, kernels.WINDOW_BITS)
         codes_total = 1 << (n * k)
-        reps = _representatives(n)
-        for i in range(0, len(reps), batch):
-            ranks, rgss = zip(*reps[i : i + batch])
-            same = kernels.same_block(rgss)
-            for start in range(0, codes_total, window << 6):
-                if first + ranks[0] * codes_total + start >= limit:
+        for rank, rgs in _representatives(n):
+            # a memoryview, whose .shape perfbench/spans.py reads as rows
+            ends = memoryview(
+                bytes(i for i in range(1, n + 1) if i == n or rgs[i] != rgs[i - 1])
+            )
+            for start in range(0, codes_total, 1 << w):
+                position = first + rank * codes_total + start
+                if position >= limit:
                     return limit, evaluated, None
-                per = min(window << 6, codes_total - start)
-                planes = kernels.atom_planes(n, k, start >> 6, -(-per // 64))
-                out = kernels.eval_chunk(program, planes, same)
-                evaluated += len(rgss) * per
-                found = kernels.first_failure(out, per)
-                if found is not None:
-                    index, state = found
-                    p, offset = divmod(index, per)
-                    code = start + offset
-                    position = first + ranks[p] * codes_total + code
-                    if position >= limit:
+                planes = kernels.atom_planes(n, k, start, w)
+                rows = kernels.eval_chunk(program, planes, ends)
+                evaluated += 1 << w
+                fails = planes[-1] ^ reduce(and_, rows)
+                if fails:
+                    t = (fails & -fails).bit_length() - 1
+                    if position + t >= limit:
                         return limit, evaluated, None
-                    model = next(_models(n, spec.atoms, rgss[p : p + 1], (code,)))
-                    return position + 1, evaluated, (model, model.states[state])
+                    state = next(i for i, r in enumerate(rows) if not r >> t & 1)
+                    model = next(_models(n, spec.atoms, (rgs,), (start + t,)))
+                    return position + t + 1, evaluated, (model, model.states[state])
         first += spec.size_count(n)
     return limit, evaluated, None
 

@@ -281,4 +281,4 @@ def test_deterministic_parallel_witness():
         doc = _assert_pinned_witness(first.stdout)
         assert doc.pop("engine") == engine
         reports[engine] = doc
-    assert all(doc == reports["numpy"] for doc in reports.values()), reports
+    assert all(doc == reports["bitslice"] for doc in reports.values()), reports

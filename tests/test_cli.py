@@ -294,6 +294,18 @@ class TestCountermodel:
         assert code == 1
         assert "countermodel found" in out
 
+    def test_one_name_per_engine(self, capsys):
+        # the kernel engine is bitslice; its former name numpy is no alias
+        with pytest.raises(SystemExit) as stop:
+            main(["countermodel", "p", "--engine", "numpy"])
+        assert stop.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'numpy'" in err
+        assert "bitslice" in err
+        code, out, _ = run(capsys, "countermodel", "p", "--engine", "bitslice", "--json")
+        assert code == 1
+        assert json.loads(out)["engine"] == "bitslice"
+
     def test_timings_are_opt_in(self, capsys):
         base = (
             "countermodel",
@@ -308,7 +320,7 @@ class TestCountermodel:
         assert "elapsed_s" in json.loads(out)
 
     def test_timings_report_the_models_evaluated(self, capsys):
-        # the numpy engine runs only each shape's representative partition:
+        # the bitslice engine runs only each shape's representative partition:
         # at 7 states over {p, q}, 299,492 of the 15,257,700 models decided
         base = ("countermodel", "p -> S p", "--max-states", "7", "--atoms", "p,q", "--json")
         _, out, _ = run(capsys, *base)
@@ -321,10 +333,8 @@ class TestCountermodel:
     def test_kernel_fault_is_an_internal_error(self, capsys, monkeypatch):
         # a kernel that clears state x0 in every model reports a witness the
         # literal re-check refutes: a fault of the program, not of the input
-        def faulty(program, planes, same):
-            out = eval_chunk(program, planes, same).copy()
-            out[:, 0, :] = 0
-            return out
+        def faulty(program, planes, ends):
+            return [0, *eval_chunk(program, planes, ends)[1:]]
 
         monkeypatch.setattr(kernels, "eval_chunk", faulty)
         code, out, err = run(capsys, "countermodel", "p -> S p")
@@ -336,14 +346,14 @@ class TestCountermodel:
     def test_unexpected_exception_is_an_internal_error(self, capsys, monkeypatch):
         # any exception the program does not expect is a fault of the
         # program: exit 3, never the answer code 1 or a traceback
-        def broken(out, per):
-            raise TypeError("first_failure is broken")
+        def broken(n, k, start, w):
+            raise TypeError("atom_planes is broken")
 
-        monkeypatch.setattr(kernels, "first_failure", broken)
+        monkeypatch.setattr(kernels, "atom_planes", broken)
         code, out, err = run(capsys, "countermodel", "p -> S p")
         assert code == 3
         assert out == ""
-        assert err == "internal error: first_failure is broken\n"
+        assert err == "internal error: atom_planes is broken\n"
 
 
 class TestEquiv:

@@ -10,11 +10,11 @@ import copy
 import gc
 import os
 import pickle
+import random
 import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from expertlogic import formula
@@ -28,7 +28,7 @@ from expertlogic.formula import (
     subformulas,
     to_knowledge_form,
 )
-from expertlogic.kernels import atom_planes, compile_program, eval_chunk, same_block
+from expertlogic.kernels import atom_planes, compile_program, eval_chunk
 from expertlogic.model import ExpertiseModel, Partition
 from expertlogic.semantics import extension, holds
 
@@ -122,20 +122,20 @@ def test_shared_formula_compiles_to_one_op_per_node():
     prog = compile_program(f, tuple(SHARED_ATOMS))
     assert len(prog.ops) == 145
     # 32 independently seeded valuations of the 19 atoms over two states,
-    # in one block: each a seeded word of the 2^38 codes and a seeded bit
-    rng = np.random.default_rng(0)
-    same = same_block([(0, 0)])
+    # in one block: each a seeded window of 64 of the 2^38 codes and a
+    # seeded bit
+    rng = random.Random(0)
     for _ in range(32):
-        first = int(rng.integers(0, 1 << 32))
-        t = int(rng.integers(0, 64))
-        out = eval_chunk(prog, atom_planes(2, len(SHARED_ATOMS), first, 1), same)
-        code = first * 64 + t
+        start = rng.randrange(1 << 32) << 6
+        t = rng.randrange(64)
+        rows = eval_chunk(prog, atom_planes(2, len(SHARED_ATOMS), start, 6), (2,))
+        code = start + t
         model = ExpertiseModel(
             ("x0", "x1"),
             Partition.from_blocks([0b11]),
             tuple((a, (code >> (2 * j)) & 0b11) for j, a in enumerate(SHARED_ATOMS)),
         )
-        rows = np.broadcast_to(out, (1, 2, 1))[0, :, 0].tolist()
+        rows = rows * 2 if len(rows) == 1 else rows
         assert sum((r >> t & 1) << i for i, r in enumerate(rows)) == extension(model, f)
 
 

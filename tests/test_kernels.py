@@ -1,34 +1,35 @@
-"""The compiled batch kernel against the reference evaluators.
+"""The compiled window kernel against the reference evaluators.
 
 eval_chunk must agree bit for bit with the pure-Python evaluators in
-semantics on every model it can express: bit t of word w in row i of
-partition p is state i under that partition and the valuation code
-64 * (first + w) + t, where atom j's extension is bits [j*n, (j+1)*n) of
-the code.
+semantics on every model it can express: bit t of row i is state i under
+the partition with the given block ends and the valuation code start + t,
+where atom j's extension is bits [j*n, (j+1)*n) of the code.  A root that
+is the same at every state comes back as a single row.
 """
 
 import hypothesis.strategies as st
-import numpy as np
 import pytest
 from hypothesis import given
 
 from expertlogic.formula import And, Atom, parse, subformulas, to_knowledge_form
 from expertlogic.kernels import (
+    BLOCK,
+    GLOBAL,
     OP_AND,
     OP_ATOM,
     OP_E,
     OP_NOT,
     OP_S,
+    ROW,
+    WINDOW_BITS,
     atom_planes,
     compile_program,
     eval_chunk,
-    same_block,
 )
 from expertlogic.model import ExpertiseModel, Partition, to_s5_model
 from expertlogic.proofs import PHI
 from expertlogic.semantics import extension, extension_relational
 
-from reference import ref_partitions
 from strategies import formulas
 
 BATTERY = [
@@ -48,6 +49,15 @@ BATTERY = [
     "A (S p -> p)",
     "E p & ~E q",
     "E (p -> q) -> E p -> E q",
+    "S p & q",
+    "S S p | E q",
+    "A S ~p <-> S E p",
+    "S p -> q",
+    "q -> S p",
+    "~S p & ~q",
+    "E q -> p",
+    "p | A ~q",
+    "S ~p -> ~A ~S q",
 ]
 
 
@@ -55,27 +65,33 @@ def _states(n):
     return tuple(f"x{i}" for i in range(n))
 
 
-def _model(n, rgs, atoms, code):
-    blocks: dict[int, int] = {}
-    for i, label in enumerate(rgs):
-        blocks[label] = blocks.get(label, 0) | 1 << i
+def _compositions(n):
+    """Block ends of every partition of n states into contiguous runs."""
+    return [
+        tuple(i for i in range(1, n + 1) if i == n or cuts >> (i - 1) & 1)
+        for cuts in range(1 << (n - 1))
+    ]
+
+
+def _model(n, ends, atoms, code):
+    starts = (0, *ends[:-1])
+    blocks = [((1 << e) - 1) ^ ((1 << s) - 1) for s, e in zip(starts, ends)]
     full = (1 << n) - 1
     valuation = tuple((a, (code >> (j * n)) & full) for j, a in enumerate(atoms))
-    return ExpertiseModel(_states(n), Partition.from_blocks(blocks.values()), valuation)
+    return ExpertiseModel(_states(n), Partition.from_blocks(blocks), valuation)
 
 
-def _extension_at(out, p, w, t):
-    """The extension held by bit t of word w in partition p of a kernel
-    result, as a state mask (rows and partitions may be broadcast)."""
-    rows = out[p if out.shape[0] > 1 else 0, :, w].tolist()
+def _extension_at(rows, t):
+    """The extension held by bit t of a kernel result, as a state mask (a
+    single row stands for every state)."""
     if len(rows) == 1:
         return -(rows[0] >> t & 1)  # every state or none
     return sum((r >> t & 1) << i for i, r in enumerate(rows))
 
 
-def _run(prog, n, rgss, first, words):
-    planes = atom_planes(n, len(prog.atom_order), first, words)
-    return eval_chunk(prog, planes, same_block(rgss))
+def _run(prog, n, ends, start, w):
+    planes = atom_planes(n, len(prog.atom_order), start, w)
+    return eval_chunk(prog, planes, ends)
 
 
 class TestCompile:
@@ -101,8 +117,8 @@ class TestCompile:
     def test_constant_true_is_one_op_holding_the_whole_space(self):
         prog = compile_program(parse("T"), ("p",))
         assert prog.ops == ((OP_ATOM, -1, -1),)
-        out = _run(prog, 2, [(0, 1), (0, 0)], 0, 1)
-        assert (out == np.uint64(0xFFFF_FFFF_FFFF_FFFF)).all()
+        for ends in ((1, 2), (2,)):
+            assert _run(prog, 2, ends, 0, 2) == [0b1111]
 
     def test_repeated_subformulas_compile_once(self):
         # p, q, p & q, q & (p & q), and the whole: the inner p and q reuse
@@ -138,6 +154,39 @@ class TestCompile:
         prog = compile_program(parse("p & (q & (p & q))"), ("p", "q"))
         assert [sorted(f) for f in prog.frees] == [[], [], [], [1, 2], [0, 3]]
 
+    @pytest.mark.parametrize(
+        "text, levels",
+        [
+            ("E p & ~q", (ROW, GLOBAL, ROW, ROW, ROW)),
+            ("S p & ~S p", (ROW, BLOCK, BLOCK, BLOCK)),
+            ("S p & E q", (ROW, BLOCK, ROW, GLOBAL, BLOCK)),
+            ("A S p", (ROW, BLOCK, GLOBAL)),
+            ("S A p", (ROW, GLOBAL, GLOBAL)),
+            ("S T & p", (GLOBAL, GLOBAL, ROW, ROW)),
+        ],
+    )
+    def test_levels(self, text, levels):
+        # atoms are per row, T, E and A global, S per block (or coarser),
+        # ~ keeps its operand's level and & takes the finer one
+        assert compile_program(parse(text), ("p", "q")).levels == levels
+
+    @pytest.mark.parametrize(
+        "text, negated",
+        [
+            ("~p", (False, True)),
+            ("~~p", (False, True, False)),
+            ("p | q", (False, True, False, True, True, False)),
+            ("p -> q", (False, False, True, False, True)),
+            ("S ~p", (False, True, True)),
+            ("A ~p", (False, True, True)),
+            ("E ~p", (False, True, False)),
+        ],
+    )
+    def test_polarity(self, text, negated):
+        # ~ flips its operand's polarity, & of two complements is one, S
+        # and A keep their operand's, and E is never one
+        assert compile_program(parse(text), ("p", "q")).negated == negated
+
 
 @given(formulas(("p", "q", "r"), with_k=False))
 def test_every_slot_but_the_root_is_freed_once_after_its_last_read(f):
@@ -154,84 +203,94 @@ def test_every_slot_but_the_root_is_freed_once_after_its_last_read(f):
     assert len(prog.ops) == len(list(subformulas(f)))
 
 
+class TestAtomPlanes:
+    @pytest.mark.parametrize("w", range(8))
+    def test_low_code_bits_are_periodic(self, w):
+        # below w, code bit b of the window's codes; the last plane is
+        # the whole window
+        planes = atom_planes(1, w, 0, w)
+        assert len(planes) == w + 1
+        for b, plane in enumerate(planes[:-1]):
+            assert plane == sum(1 << t for t in range(1 << w) if t >> b & 1)
+        assert planes[-1] == (1 << (1 << w)) - 1
+
+    def test_high_code_bits_are_constant_in_a_window(self):
+        # 2 states over 3 atoms, windows of 2^2 codes: code bits 2-5 come
+        # from the window's start
+        for start in range(0, 64, 4):
+            planes = atom_planes(2, 3, start, 2)
+            assert planes[:2] == [0b1010, 0b1100]
+            assert planes[2:6] == [0b1111 if start >> b & 1 else 0 for b in range(2, 6)]
+
+    def test_the_widest_window_has_the_cap_bits(self):
+        planes = atom_planes(6, 3, 0, WINDOW_BITS)
+        assert planes[-1].bit_length() == 1 << WINDOW_BITS
+        assert all(p.bit_length() <= 1 << WINDOW_BITS for p in planes)
+
+
 class TestAgainstSemantics:
     def test_matches_extension_on_all_tiny_models(self):
-        """All partitions of up to 3 states as one batch each, over {p, q}:
-        4 and 16 codes leave most of the word past the code space, 64
-        fill it."""
+        """Every contiguous partition of up to 3 states over {p, q}, each
+        with its whole code space as one window."""
         for n in (1, 2, 3):
-            self._check_window(n, 0, 1)
+            self._check_windows(n, 2 * n, range(1))
 
     @pytest.mark.parametrize("first, words", [(0, 4), (2, 2), (3, 1)])
     def test_matches_extension_on_a_multi_word_window(self, first, words):
-        # 4 states over {p, q}: 256 codes, 4 words
-        self._check_window(4, first, words)
+        # 4 states over {p, q}: 256 codes in four windows of 64
+        self._check_windows(4, 6, range(first, first + words))
 
-    def _check_window(self, n, first, words):
-        """Every partition of n states in one batch, every code of the
-        window, every formula of the battery."""
+    def _check_windows(self, n, w, windows):
+        """Every contiguous partition of n states, every code of each
+        window of 2^w codes, every formula of the battery."""
         atoms = ("p", "q")
-        states = _states(n)
-        rgss = [
-            _canonical([next(j for j, b in enumerate(blocks) if s in b) for s in states])
-            for blocks in ref_partitions(set(states))
-        ]
-        codes = range(first * 64, min(1 << (n * len(atoms)), (first + words) * 64))
-        models = [[_model(n, rgs, atoms, c) for c in codes] for rgs in rgss]
-        for text in BATTERY:
-            f = parse(text)
-            out = _run(compile_program(f, atoms), n, rgss, first, words)
-            for p, row in enumerate(models):
-                for c, model in zip(codes, row):
-                    w, t = divmod(c - first * 64, 64)
-                    assert _extension_at(out, p, w, t) & model.full_mask == extension(
-                        model, f
-                    ), (text, rgss[p], c)
+        for ends in _compositions(n):
+            for window in windows:
+                start = window << w
+                models = [_model(n, ends, atoms, start + t) for t in range(1 << w)]
+                for text in BATTERY:
+                    f = parse(text)
+                    rows = _run(compile_program(f, atoms), n, ends, start, w)
+                    assert len(rows) in (1, n)
+                    for t, model in enumerate(models):
+                        assert _extension_at(rows, t) & model.full_mask == extension(
+                            model, f
+                        ), (text, ends, start + t)
 
     def test_repeated_runs_are_identical(self):
         prog = compile_program(parse("E (p -> q) -> E p -> E q"), ("p", "q"))
-        rgss = [(0, 0, 1), (0, 1, 2)]
-        first = _run(prog, 3, rgss, 0, 1)
-        second = _run(prog, 3, rgss, 0, 1)
-        assert np.array_equal(first, second)
+        for ends in ((2, 3), (1, 2, 3)):
+            assert _run(prog, 3, ends, 0, 6) == _run(prog, 3, ends, 0, 6)
 
 
 ATOMS = ("p", "q", "r")
 
 
 @st.composite
-def batches(draw):
-    """(n <= 3, a few partitions of n states as restricted growth strings,
-    a window of the code space over ATOMS, and some codes in it).  Code
-    spaces of 8 and 64 codes fit one word; 512 codes take 8 words."""
-    n = draw(st.integers(1, 3))
-    rgs = st.lists(st.integers(0, n - 1), min_size=n, max_size=n).map(_canonical)
-    rgss = draw(st.lists(rgs, min_size=1, max_size=4))
-    total_words = max(1, (1 << (n * len(ATOMS))) >> 6)
-    first = draw(st.integers(0, total_words - 1))
-    words = draw(st.integers(1, total_words - first))
-    size = min(1 << (n * len(ATOMS)), words * 64)
-    codes = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=8))
-    return n, rgss, first, words, codes
+def windows(draw):
+    """(n <= 4, block ends of a contiguous partition of n states, a window
+    of 2^w codes over ATOMS, and some codes in it).  w runs from one code
+    to the whole code space, so most draws cut the code space into
+    several windows."""
+    n = draw(st.integers(1, 4))
+    ends = draw(st.sampled_from(_compositions(n)))
+    w = draw(st.integers(0, min(n * len(ATOMS), 8)))
+    start = draw(st.integers(0, (1 << (n * len(ATOMS) - w)) - 1)) << w
+    offsets = draw(st.lists(st.integers(0, (1 << w) - 1), min_size=1, max_size=8))
+    return n, ends, start, w, offsets
 
 
-def _canonical(labels):
-    """The restricted growth string of the partition the labels induce."""
-    seen: dict[int, int] = {}
-    return tuple(seen.setdefault(label, len(seen)) for label in labels)
-
-
-@given(formulas(ATOMS, with_k=False), batches())
-def test_eval_chunk_matches_both_evaluators(f, batch):
+@given(formulas(ATOMS, with_k=False), windows())
+def test_eval_chunk_matches_both_evaluators(f, window):
     """Bit for bit against the literal clauses and against the knowledge
     form on the induced relational model."""
-    n, rgss, first, words, offsets = batch
-    out = _run(compile_program(f, ATOMS), n, rgss, first, words)
-    assert out.shape[2] == words and out.shape[0] in (1, len(rgss))
+    n, ends, start, w, offsets = window
+    rows = _run(compile_program(f, ATOMS), n, ends, start, w)
+    assert len(rows) in (1, n)
+    assert all(0 <= r < 1 << (1 << w) for r in rows)
     knowledge = to_knowledge_form(f)
-    for p, rgs in enumerate(rgss):
-        for offset in offsets:
-            model = _model(n, rgs, ATOMS, first * 64 + offset)
-            ext = _extension_at(out, p, *divmod(offset, 64)) & model.full_mask
-            assert ext == extension(model, f, mode="literal")
-            assert ext == extension_relational(to_s5_model(model), knowledge)
+    for offset in offsets:
+        model = _model(n, ends, ATOMS, start + offset)
+        ext = _extension_at(rows, offset) & model.full_mask
+        assert ext == extension(model, f, mode="literal")
+        assert ext == extension_relational(to_s5_model(model), knowledge)

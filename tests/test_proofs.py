@@ -377,7 +377,7 @@ class TestSoundnessSweep:
 
     def test_engine_is_resolved_before_any_search(self):
         spec = EnumerationSpec(2, ("p", "q"))
-        assert soundness_sweep([], corpus_formulas(), spec).engine == "numpy"
+        assert soundness_sweep([], corpus_formulas(), spec).engine == "bitslice"
         report = soundness_sweep([SCHEMAS["T_A"]], corpus_formulas()[:1], spec, "python")
         assert report.engine == "python"
         with pytest.raises(ValueError, match="unknown engine"):

@@ -1,11 +1,10 @@
 """What a fresh process loads and what its searches cost.
 
-The pytest process has numpy and the kernel loaded already, so every test
-here runs its program in a fresh interpreter.  Only a search imports
-expertlogic.kernels, and numpy with it; the commands that evaluate,
-translate or check proofs never do.  Importing the kernel also keeps the
-pages a batch frees mapped for the next search (kernels module
-docstring), and a search's --timings clock starts after that import.
+The pytest process may have numpy loaded by some other package, so every
+test here runs its program in a fresh interpreter.  No command imports
+numpy: the search kernel computes on Python ints.  Importing the kernel
+also keeps the pages a search frees mapped for the next search (kernels
+module docstring).
 """
 
 import json
@@ -22,8 +21,8 @@ CHILD_ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
 ECONOMIST = str(ROOT / "fixtures" / "economist.json")
 DISTRIBUTION = str(ROOT / "fixtures" / "distribution.json")
 
-# every subcommand that runs no search, on the bundled fixtures
-NON_SEARCH = [
+# every subcommand, on the bundled fixtures, searches on both engines
+COMMANDS = [
     ["translate", "E p"],
     ["translate", "S ~p", "--json"],
     ["eval", ECONOMIST, "S (r & p)", "--state", "c"],
@@ -31,9 +30,12 @@ NON_SEARCH = [
     ["extension", ECONOMIST, "r & p"],
     ["to-s5", ECONOMIST, "--json"],
     ["correspondence", ECONOMIST, "E r"],
+    ["countermodel", "p -> S p", "--max-states", "3"],
+    ["countermodel", "E p", "--max-states", "2", "--engine", "python", "--json"],
+    ["equiv", "E p", "A (S p -> p) & A (S ~p -> ~p)", "--max-states", "3"],
+    ["soundness-sweep", "--max-states", "2", "--schemas", "T_A,K_S"],
+    ["soundness-sweep", "--max-states", "2", "--schemas", "T_A", "--engine", "python"],
 ] + [["check-proof", str(path)] for path in sorted((ROOT / "fixtures").glob("*.prf"))]
-
-LOADED = "print(json.dumps(['numpy' in sys.modules, 'expertlogic.kernels' in sys.modules]))"
 
 
 def _child(script: str) -> str:
@@ -48,41 +50,36 @@ def _child(script: str) -> str:
     return proc.stdout
 
 
-def test_only_a_search_loads_numpy_and_the_kernel():
+def test_no_command_imports_numpy():
     script = f"""
 import contextlib, io, json, sys
 import expertlogic, expertlogic.cli
-{LOADED}
-with contextlib.redirect_stdout(io.StringIO()):
-    codes = [expertlogic.cli.main(argv) for argv in {NON_SEARCH!r}]
-print(json.dumps(codes))
-{LOADED}
-with contextlib.redirect_stdout(io.StringIO()):
-    expertlogic.cli.main(["countermodel", "p -> S p", "--max-states", "2"])
-{LOADED}
+for argv in {COMMANDS!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = expertlogic.cli.main(argv)
+    print(json.dumps([argv[0], code, 'numpy' in sys.modules]))
 """
-    imported, codes, commands, search = map(json.loads, _child(script).splitlines())
-    assert imported == [False, False]
-    assert all(code in (0, 1) for code in codes), codes
-    assert commands == [False, False]
-    assert search == [True, True]
+    runs = [json.loads(line) for line in _child(script).splitlines()]
+    assert len(runs) == len(COMMANDS)
+    assert all(code in (0, 1) for _, code, _ in runs), runs
+    assert not any(loaded for _, _, loaded in runs), runs
 
 
 def test_the_kernel_resolves_as_a_package_attribute():
-    script = f"""
+    script = """
 import json, sys
 import expertlogic
-{LOADED}
+print(json.dumps('numpy' in sys.modules))
 print(expertlogic.kernels.eval_chunk.__module__)
 """
-    before, module = _child(script).splitlines()
-    assert json.loads(before) == [False, False]
+    numpy_loaded, module = _child(script).splitlines()
+    assert json.loads(numpy_loaded) is False
     assert module == "expertlogic.kernels"
 
 
 def test_timings_do_not_include_the_kernel_import():
-    # importing numpy takes about 0.1 s; a one-state search takes well
-    # under a millisecond, so a clock started before the import shows it
+    # a one-state search takes well under a millisecond, so a clock that
+    # included an import, or the kernel's set-up, would show it
     proc = subprocess.run(
         [sys.executable, "-m", "expertlogic", "countermodel", "p | ~p"]
         + ["--max-states", "1", "--json", "--timings"],

@@ -37,6 +37,10 @@ from expertlogic.validity import (
 from reference import ref_partitions
 from strategies import formulas
 
+# the kernel engine was named numpy until it moved to Python ints; its test
+# ids keep that name so a test's history reads across the rename
+ENGINE_PARAMS = [pytest.param(e, id={"bitslice": "numpy"}.get(e, e)) for e in ENGINES]
+
 
 class TestCounting:
     def test_bell_numbers(self):
@@ -119,7 +123,7 @@ class TestSpecValidation:
 
 
 class TestSearch:
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", ENGINE_PARAMS)
     def test_expertise_is_rare_witness(self, engine):
         verdict = find_countermodel(parse("E p"), EnumerationSpec(2, ("p",)), engine)
         assert verdict.status == "countermodel-found"
@@ -133,7 +137,7 @@ class TestSearch:
         }
         assert verdict.witness_state == "x0"
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", ENGINE_PARAMS)
     def test_distribution_over_expertise_fails(self, engine):
         verdict = find_countermodel(
             parse("E(p -> q) -> (E p -> E q)"),
@@ -163,7 +167,7 @@ class TestSearch:
             reports.append(doc)
         assert all(doc == reports[0] for doc in reports)
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", ENGINE_PARAMS)
     @pytest.mark.parametrize(
         "text",
         [
@@ -184,7 +188,7 @@ class TestSearch:
         assert verdict.status == "valid-up-to-bound"
         assert verdict.stats.models_checked == spec.total_count() == 356
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", ENGINE_PARAMS)
     def test_contradiction_falls_at_one_state(self, engine):
         verdict = find_countermodel(
             parse("E p & ~E p"), EnumerationSpec(4, ("p",)), engine
@@ -193,7 +197,7 @@ class TestSearch:
         assert verdict.witness_model.n == 1
         assert verdict.stats.models_checked == 1
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", ENGINE_PARAMS)
     def test_soundness_claim_separated_from_truth(self, engine):
         verdict = check_equivalence(
             parse("S p"), parse("p"), EnumerationSpec(2, ("p",)), engine
@@ -204,7 +208,7 @@ class TestSearch:
         assert doc["valuation"] == {"p": ["x0"]}
         assert verdict.witness_state == "x1"
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", ENGINE_PARAMS)
     def test_limit_truncates_and_reports(self, engine):
         spec = EnumerationSpec(3, ("p", "q"), limit=10)
         verdict = find_countermodel(parse("p -> S p"), spec, engine)
@@ -213,7 +217,7 @@ class TestSearch:
         assert verdict.stats.models_checked == 10
         assert "truncated" in verdict.summary()
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", ENGINE_PARAMS)
     def test_limit_at_the_bound_is_not_a_truncation(self, engine):
         whole = EnumerationSpec(3, ("p", "q")).total_count()
         for limit, truncated in ((whole, False), (whole - 1, True)):
@@ -223,37 +227,40 @@ class TestSearch:
             assert verdict.stats.models_checked == limit
             assert verdict.stats.truncated is truncated
 
-    def test_limit_inside_a_partition_spanning_several_ranges(self):
-        # size 6 over three atoms has 2^18 valuations per partition (4,096
-        # words), so each of its partitions spans two windows of 2,730
-        # words; the cut falls in the first window of the first one
+    def test_limit_inside_a_partition_spanning_several_ranges(self, monkeypatch):
+        # size 6 over three atoms has 2^18 valuations per partition, so
+        # with windows of 2^17 codes each of its partitions spans two
+        # windows; the cut falls in the first window of the first one
+        monkeypatch.setattr(kernels, "WINDOW_BITS", 17)
         spec = EnumerationSpec(6, ("p", "q", "r"), limit=1_900_000)
-        verdict = find_countermodel(parse("p -> S p"), spec, "numpy")
+        verdict = find_countermodel(parse("p -> S p"), spec, "bitslice")
         assert verdict.status == "valid-up-to-bound"
         assert verdict.stats.models_checked == 1_900_000
         assert verdict.stats.truncated
 
-    def test_limit_in_the_second_window_of_a_partition(self):
+    def test_limit_in_the_second_window_of_a_partition(self, monkeypatch):
         # 1,768,072 models of up to 5 states, then the first 6-state
-        # partition's first window of 2,730 words (174,720 codes)
+        # partition's first window of 2^17 codes
+        monkeypatch.setattr(kernels, "WINDOW_BITS", 17)
         limit = 1_768_072 + 174_720 + 1_000
         spec = EnumerationSpec(6, ("p", "q", "r"), limit=limit)
-        verdict = find_countermodel(parse("p -> S p"), spec, "numpy")
+        verdict = find_countermodel(parse("p -> S p"), spec, "bitslice")
         assert verdict.stats.models_checked == limit
         assert verdict.stats.truncated
 
-    def test_witness_in_the_second_window_of_a_later_partition(self):
+    def test_witness_in_the_second_window_of_a_later_partition(self, monkeypatch):
         # refuting it needs r everywhere, a block with all four p/q types
         # and a second block of two: first at 6 states in the fourth
         # partition, [[x0..x3], [x4, x5]], with r's code bits all set, so
-        # in the second window of 2,730 words: 1,768,072 + 3 * 2^18 + 258,262
+        # in the second window of 2^17 codes: 1,768,072 + 3 * 2^18 + 258,262
+        monkeypatch.setattr(kernels, "WINDOW_BITS", 17)
         text = (
             "~(A r & S (p & q) & S (p & ~q) & S (~p & q) & S (~p & ~q)"
             " & ~A S (p & q) & ~E (p | q | S (p & q)))"
         )
         for limit in (None, 2_812_766, 2_812_765):
             spec = EnumerationSpec(6, ("p", "q", "r"), limit=limit)
-            verdict = find_countermodel(parse(text), spec, "numpy")
+            verdict = find_countermodel(parse(text), spec, "bitslice")
             if limit == 2_812_765:
                 assert verdict.status == "valid-up-to-bound"
                 assert verdict.stats.models_checked == limit
@@ -263,22 +270,23 @@ class TestSearch:
             assert doc["partition"] == [["x0", "x1", "x2", "x3"], ["x4", "x5"]]
             assert doc["valuation"]["r"] == ["x0", "x1", "x2", "x3", "x4", "x5"]
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", ENGINE_PARAMS)
     @pytest.mark.parametrize("into", [63, 64, 65])
     def test_limit_at_a_word_boundary_of_a_multi_word_size(self, engine, into):
         # over {p, q, r}, sizes 1 and 2 hold 8 + 128 models; a 3-state
-        # partition has 512 codes, 8 words of 64
+        # partition has 512 codes, one window; the cuts fall around its
+        # 64th code
         spec = EnumerationSpec(3, ("p", "q", "r"), limit=136 + into)
         verdict = find_countermodel(parse("p -> S p"), spec, engine)
         assert verdict.status == "valid-up-to-bound"
         assert verdict.stats.models_checked == 136 + into
         assert verdict.stats.truncated
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", ENGINE_PARAMS)
     def test_witness_in_a_later_word_of_a_later_partition(self, engine):
         # refuting it needs p nonempty, two blocks and a block r splits:
         # first in partition [[x0, x1], [x2]] (the second of size 3) at
-        # p = r = {x0}, code 1 + 64 (word 1, bit 1): model 136 + 512 + 66
+        # p = r = {x0}, code 1 + 64: model 136 + 512 + 66
         witness = {
             "states": ["x0", "x1", "x2"],
             "partition": [["x0", "x1"], ["x2"]],
@@ -295,12 +303,12 @@ class TestSearch:
                 assert verdict.witness_state == "x0"
             assert verdict.stats.models_checked == (713 if limit == 713 else 714)
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", ENGINE_PARAMS)
     def test_limit_inside_a_batch_of_several_partitions(self, engine):
-        # over {p, q}, the five 3-state partitions (64 codes each) are one
-        # batch after the 36 smaller models; this formula's first
-        # countermodel is model 36 + 64 + 10, in the batch's second
-        # partition, and a limit in its fourth leaves it found
+        # over {p, q}, the five 3-state partitions (64 codes each) follow
+        # the 36 smaller models; this formula's first countermodel is
+        # model 36 + 64 + 10, in the second partition, and a limit in the
+        # fourth leaves it found
         text = "A S p | E q | A ~p"
         for limit, checked in ((None, 110), (110, 110), (36 + 64 * 3 + 10, 110)):
             spec = EnumerationSpec(3, ("p", "q"), limit=limit)
@@ -316,7 +324,7 @@ class TestSearch:
         assert verdict.status == "valid-up-to-bound"
         assert verdict.stats.models_checked == 109
         assert verdict.stats.truncated
-        # cuts in the batch's second and third partitions
+        # cuts in the second and third partitions
         for limit in (109, 36 + 64 * 2 + 10):
             spec = EnumerationSpec(3, ("p", "q"), limit=limit)
             verdict = find_countermodel(parse("p -> S p"), spec, engine)
@@ -324,49 +332,33 @@ class TestSearch:
             assert verdict.stats.models_checked == limit
             assert verdict.stats.truncated
 
-    def test_no_kernel_slot_exceeds_the_budget(self, monkeypatch):
-        # a slot is partitions x states x words of the batch; 16,384 words
-        # (128 KiB) bound the kernel's memory however large the search
-        slots = []
+    def _kernel_widths(self, monkeypatch):
+        # the widest int each eval_chunk call takes or returns, for a full
+        # search of p -> S p at 6 states over {p, q, r}
+        widths = []
         eval_chunk = kernels.eval_chunk
 
-        def guarded(program, planes, same):
-            out = eval_chunk(program, planes, same)
-            slots.append(same.shape[0] * planes.shape[1] * planes.shape[2])
-            assert out.size <= slots[-1]
-            return out
+        def guarded(program, planes, ends):
+            rows = eval_chunk(program, planes, ends)
+            widths.append(max(v.bit_length() for v in (*planes, *rows)))
+            return rows
 
         monkeypatch.setattr(kernels, "eval_chunk", guarded)
         spec = EnumerationSpec(6, ("p", "q", "r"))
-        verdict = find_countermodel(parse("p -> S p"), spec, "numpy")
+        verdict = find_countermodel(parse("p -> S p"), spec, "bitslice")
         assert verdict.stats.models_checked == spec.total_count()
-        assert max(slots) <= 16_384
-        # the kernel sees each size's shape representatives only: sizes
-        # 1-4 fit one batch, size 5 (7 shapes, 6 per batch) two, and size 6
-        # takes two windows for each of its 11 shapes
-        assert len(slots) == 1 + 1 + 1 + 1 + 2 + 11 * 2
+        return widths
 
-    def test_kernel_masks_are_built_once_per_batch(self, monkeypatch):
-        # one same_block mask per batch of representatives, shared by all
-        # of its code windows: size 6's 11 shapes take 22 kernel calls
-        # but 11 masks
-        calls = Counter()
-        same_block, eval_chunk = kernels.same_block, kernels.eval_chunk
+    def test_no_kernel_slot_exceeds_the_budget(self, monkeypatch):
+        # a kernel value holds one bit per code of its window, and a window
+        # holds at most 2^18 codes however large the search
+        assert max(self._kernel_widths(monkeypatch)) == 1 << 18
 
-        def counted_same_block(rgss):
-            calls["same_block"] += 1
-            return same_block(rgss)
-
-        def counted_eval_chunk(program, planes, same):
-            calls["eval_chunk"] += 1
-            return eval_chunk(program, planes, same)
-
-        monkeypatch.setattr(kernels, "same_block", counted_same_block)
-        monkeypatch.setattr(kernels, "eval_chunk", counted_eval_chunk)
-        spec = EnumerationSpec(6, ("p", "q", "r"))
-        verdict = find_countermodel(parse("p -> S p"), spec, "numpy")
-        assert verdict.stats.models_checked == spec.total_count()
-        assert calls == {"same_block": 1 + 1 + 1 + 1 + 2 + 11, "eval_chunk": 28}
+    def test_one_kernel_call_per_representative_window(self, monkeypatch):
+        # the kernel sees each size's shape representatives only, one call
+        # per window of at most 2^18 codes: sizes 1-6 over three atoms have
+        # 1, 2, 3, 5, 7 and 11 shapes and at most 2^18 codes each
+        assert len(self._kernel_widths(monkeypatch)) == 1 + 2 + 3 + 5 + 7 + 11
 
     def test_python_engine_builds_each_partition_once(self, monkeypatch):
         built = []
@@ -383,9 +375,9 @@ class TestSearch:
         assert len(built) == 1 + 2 + 5
 
     def test_python_engine_evaluates_only_the_models_it_checks(self, monkeypatch):
-        # it stops at the first countermodel of a batch, and at the limit,
-        # not at the end of the batch: here both fall inside the five
-        # 3-state partitions of one batch over {p, q}
+        # it stops at the first countermodel and at the limit, not at the
+        # end of a partition or a size: here both fall inside the five
+        # 3-state partitions over {p, q}
         evaluated = []
 
         def counted(model, formula):
@@ -435,7 +427,7 @@ class TestPythonEngineIsIndependent:
     def test_runs_without_the_kernel(self, monkeypatch, text, n, atoms, limit, checked, state):
         # the reference shares only the enumeration order with the kernel:
         # it evaluates through semantics and reduces on its own
-        for name in ("atom_planes", "same_block", "eval_chunk", "first_failure"):
+        for name in ("atom_planes", "eval_chunk"):
 
             def refuse(*args, name=name):
                 raise AssertionError(f"the python engine called kernels.{name}")
@@ -449,13 +441,13 @@ class TestPythonEngineIsIndependent:
             assert verdict.status == "valid-up-to-bound"
             assert verdict.stats.truncated is (limit is not None)
         with pytest.raises(AssertionError, match="called kernels"):
-            find_countermodel(parse(text), spec, "numpy")
+            find_countermodel(parse(text), spec, "bitslice")
 
     @pytest.mark.parametrize("text, n, atoms, limit, checked, state", PINNED)
     def test_runs_without_the_kernel_walk(self, monkeypatch, text, n, atoms, limit, checked, state):
-        # nor does it share the kernel's batch layout or its partition
-        # source: it walks every partition in enumeration order
-        for name in ("_layout", "_representatives"):
+        # nor does it share the kernel walk's partition source: it walks
+        # every partition in enumeration order
+        for name in ("_representatives",):
 
             def refuse(*args, name=name):
                 raise AssertionError(f"the python engine called validity.{name}")
@@ -466,7 +458,7 @@ class TestPythonEngineIsIndependent:
         assert verdict.stats.models_checked == checked
         assert verdict.witness_state == state
         with pytest.raises(AssertionError, match="called validity"):
-            find_countermodel(parse(text), spec, "numpy")
+            find_countermodel(parse(text), spec, "bitslice")
 
 
 class TestSearchInputs:
@@ -478,18 +470,18 @@ class TestSearchInputs:
         with pytest.raises(ValueError, match="outside the search valuations"):
             find_countermodel(parse("p & r"), EnumerationSpec(2, ("p",)))
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", ENGINE_PARAMS)
     def test_every_uncovered_atom_is_named_sorted(self, engine):
         spec = EnumerationSpec(2, ("p",))
         with pytest.raises(ValueError, match="valuations: r, s$"):
             find_countermodel(parse("s & p & r"), spec, engine)
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", ENGINE_PARAMS)
     def test_knowledge_wins_over_an_uncovered_atom(self, engine):
         with pytest.raises(ValueError, match="E/S/A"):
             find_countermodel(parse("r & K p"), EnumerationSpec(2, ("p",)), engine)
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", ENGINE_PARAMS)
     def test_atom_named_top_is_an_ordinary_atom(self, engine):
         spec = EnumerationSpec(3, ("p", "q"))
         with pytest.raises(ValueError, match="outside the search valuations: top$"):
@@ -503,8 +495,12 @@ class TestSearchInputs:
         with pytest.raises(ValueError, match="unknown engine"):
             find_countermodel(parse("p"), EnumerationSpec(1, ("p",)), "gpu")
 
-    def test_default_engine_is_numpy(self):
-        assert resolve_engine() == "numpy"
+    def test_former_engine_name_is_unknown(self):
+        with pytest.raises(ValueError, match="unknown engine 'numpy'"):
+            find_countermodel(parse("p"), EnumerationSpec(1, ("p",)), "numpy")
+
+    def test_default_engine_is_bitslice(self):
+        assert resolve_engine() == "bitslice"
         assert resolve_engine("python") == "python"
 
 
@@ -583,8 +579,29 @@ def test_engines_give_equal_reports(case):
     assert reports[0] == reports[1]
 
 
+@pytest.mark.parametrize("window_bits", [3, 6])
+@settings(max_examples=40, deadline=None)
+@given(case=searches())
+def test_window_size_does_not_change_the_report(window_bits, case):
+    # windows of 8 or 64 codes cut most code spaces into several windows,
+    # and most limits fall inside one; the report is the default window's
+    # and the python engine's
+    f, spec = case
+    reports = [find_countermodel(f, spec).to_report()]
+    default = kernels.WINDOW_BITS
+    kernels.WINDOW_BITS = window_bits
+    try:
+        reports.append(find_countermodel(f, spec, "bitslice").to_report())
+    finally:
+        kernels.WINDOW_BITS = default
+    reports.append(find_countermodel(f, spec, "python").to_report())
+    for doc in reports:
+        doc.pop("engine")
+    assert reports[0] == reports[1] == reports[2]
+
+
 class TestWitnessIsEnumerationLeast:
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", ENGINE_PARAMS)
     def test_first_falsifying_model_in_order(self, engine):
         formula = parse("S p -> p")
         spec = EnumerationSpec(2, ("p",))
@@ -601,7 +618,7 @@ class TestWitnessIsEnumerationLeast:
         pytest.fail("expected a countermodel in the sweep")
 
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", ENGINE_PARAMS)
     def test_witness_state_is_the_least_falsified_one(self, engine):
         # the first countermodel, p = {x0} in one block of two, falsifies
         # E p | q at both of its states; the witness is the least, x0
@@ -617,13 +634,13 @@ class TestWitnessIsEnumerationLeast:
         assert extension(verdict.witness_model, parse("E p | q")) == 0
         assert verdict.witness_state == "x0"
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", ENGINE_PARAMS)
     def test_partitions_come_before_words(self, engine):
         # the formula fails only where p splits every block, q meets every
         # block and p & q misses one: 4 states in two blocks of two.  The
         # first such partition, [[x0, x1], [x2, x3]], needs q at x2 or x3
-        # (a code in word 1 or later); a later one, [[x0, x2], [x1, x3]],
-        # fails at word 0.  The search answers with the first partition.
+        # (a code of 64 or more); a later one, [[x0, x2], [x1, x3]],
+        # fails at a code below 64.  The search answers with the first partition.
         text = "~(A (S p & S ~p) & A S q & ~A S (p & q) & ~A ~S (p & q))"
         verdict = find_countermodel(parse(text), EnumerationSpec(4, ("p", "q")), engine)
         # 356 smaller models, three partitions of 256 codes, then code 86
@@ -668,7 +685,7 @@ def _reports(text, spec):
 
 
 class TestSymmetryReduction:
-    # the numpy engine scans one representative partition per block-size
+    # the bitslice engine scans one representative partition per block-size
     # shape; the python engine walks every partition
 
     @pytest.mark.parametrize("n", range(1, 10))
@@ -757,12 +774,18 @@ class TestSymmetryReduction:
 
     def test_models_evaluated(self):
         spec = EnumerationSpec(7, ("p", "q"))
-        stats = find_countermodel(parse("p -> S p"), spec, "numpy").stats
+        stats = find_countermodel(parse("p -> S p"), spec, "bitslice").stats
         assert stats.models_checked == spec.total_count() == 15_257_700
         # the representatives of sizes 1-7: sum of p(n) 4^n
         assert stats.models_evaluated == sum(
             len(validity._representatives(n)) << 2 * n for n in range(1, 8)
         ) == 299_492
+        # a window that starts at the limit is not evaluated: the limit is
+        # the first code of 3-state rank 1, after sizes 1-2 (4 + 2 * 16
+        # models, each size's representatives whole) and rank 0's 64 codes
+        spec = EnumerationSpec(3, ("p", "q"), 36 + 64)
+        stats = find_countermodel(parse("p -> S p"), spec, "bitslice").stats
+        assert stats.models_checked == stats.models_evaluated == 100
         for text, limit in (("p -> S p", None), ("E p | q", None), ("p -> S p", 200)):
             spec = EnumerationSpec(3, ("p", "q"), limit)
             stats = find_countermodel(parse(text), spec, "python").stats
