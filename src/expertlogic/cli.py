@@ -17,7 +17,8 @@ proofs come from files.  `--json` switches any subcommand to a stable JSON
 document (byte-identical across runs; wall-clock timings only with
 `--timings`).  Exit codes: 2 for any load/parse/usage error, 3 for any
 internal fault (a search witness that fails its re-check, or any other
-unexpected exception); otherwise 0/1 encode the answer (true/false,
+unexpected exception), 141 (128 + SIGPIPE) when the reader of stdout
+closes it early; otherwise 0/1 encode the answer (true/false,
 agrees/differs, no-countermodel/found, proof ok/bad step, sweep
 clean/violations).
 """
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .formula import (
@@ -49,7 +51,7 @@ from .proofs import (
     load_derivation,
     soundness_sweep,
 )
-from .semantics import check_correspondence, extension
+from .semantics import MODES, check_correspondence, extension
 from .validity import (
     ENGINES,
     EnumerationSpec,
@@ -71,8 +73,8 @@ def _dump(doc: dict) -> None:
     print(json.dumps(doc, indent=2, sort_keys=True))
 
 
-def _set(mask: int, states) -> str:
-    return "{" + ", ".join(set_names(mask, states)) + "}"
+def _braced(names) -> str:
+    return "{" + ", ".join(names) + "}"
 
 
 def _parse_atoms(text: str) -> tuple[str, ...]:
@@ -131,7 +133,7 @@ def cmd_eval(args) -> int:
             }
         )
     else:
-        print(f"extension: {_set(ext, model.states)}")
+        print(f"extension: {_braced(set_names(ext, model.states))}")
         print(f"globally true: {'yes' if globally else 'no'}")
     return 0 if globally else 1
 
@@ -143,7 +145,7 @@ def cmd_extension(args) -> int:
     if args.json:
         _dump({"formula": render(f), "extension": set_names(ext, model.states)})
     else:
-        print(_set(ext, model.states))
+        print(_braced(set_names(ext, model.states)))
     return 0
 
 
@@ -168,16 +170,16 @@ def cmd_translate(args) -> int:
 def cmd_to_s5(args) -> int:
     model = load_model(args.model)
     rel = to_s5_model(model)
+    classes = [set_names(b, model.states) for b in model.partition.blocks]
     if args.json:
         doc = relational_to_dict(rel)
-        doc["classes"] = [set_names(b, model.states) for b in model.partition.blocks]
+        doc["classes"] = classes
         _dump(doc)
     else:
-        classes = " ".join(_set(b, model.states) for b in model.partition.blocks)
-        print(f"classes: {classes}")
+        print(f"classes: {' '.join(map(_braced, classes))}")
         print(f"relation: {len(rel.pairs())} pairs, equivalence: yes")
         for atom, mask in rel.valuation:
-            print(f"valuation: {atom} = {_set(mask, rel.states)}")
+            print(f"valuation: {atom} = {_braced(set_names(mask, rel.states))}")
     return 0
 
 
@@ -202,7 +204,7 @@ def cmd_correspondence(args) -> int:
         )
     else:
         print(f"translation: {render(report.translated)}")
-        print(f"classes: {' '.join('{' + ', '.join(c) + '}' for c in classes)}")
+        print(f"classes: {' '.join(map(_braced, classes))}")
         for i, state in enumerate(model.states):
             left = bool((report.source_extension >> i) & 1)
             right = bool((report.translated_extension >> i) & 1)
@@ -217,10 +219,9 @@ def cmd_correspondence(args) -> int:
 def _print_witness(model, state) -> None:
     doc = model_to_dict(model)
     print(f"  states:    {' '.join(doc['states'])}")
-    blocks = " ".join("{" + ", ".join(b) + "}" for b in doc["partition"])
-    print(f"  partition: {blocks}")
+    print(f"  partition: {' '.join(map(_braced, doc['partition']))}")
     for atom, names in sorted(doc["valuation"].items()):
-        print(f"  valuation: {atom} = {{{', '.join(names)}}}")
+        print(f"  valuation: {atom} = {_braced(names)}")
     print(f"  falsified at: {state}")
 
 
@@ -278,14 +279,12 @@ def cmd_check_proof(args) -> int:
 
 def cmd_soundness_sweep(args) -> int:
     if args.schemas is not None:
+        known = {**SCHEMAS, E_DISTRIBUTION.name: E_DISTRIBUTION}
         chosen = []
         for name in _parse_atoms(args.schemas.replace(" ", ",")):
-            if name == E_DISTRIBUTION.name:
-                chosen.append(E_DISTRIBUTION)
-            elif name in SCHEMAS:
-                chosen.append(SCHEMAS[name])
-            else:
+            if name not in known:
                 raise UsageError(f"unknown schema {name!r}")
+            chosen.append(known[name])
         if not chosen:
             raise UsageError(f"--schemas {args.schemas!r} names no schema")
     else:
@@ -301,8 +300,7 @@ def cmd_soundness_sweep(args) -> int:
         print(
             f"checked {report.instances_checked} instances of "
             f"{len(report.schemas)} schemas over {len(report.corpus)} corpus "
-            f"formulas (bound: {spec.n_states} states, atoms "
-            f"{{{', '.join(spec.atoms)}}})"
+            f"formulas (bound: {spec.n_states} states, atoms {_braced(spec.atoms)})"
         )
         if report.ok:
             print("no violations")
@@ -311,10 +309,6 @@ def cmd_soundness_sweep(args) -> int:
                 subst = ", ".join(f"{k} = {render(g)}" for k, g in v.substitution)
                 print(f"VIOLATION {v.schema} [{subst}]: {render(v.verdict.formula)}")
     return 0 if report.ok else 1
-
-
-def _add_json(p) -> None:
-    p.add_argument("--json", action="store_true", help="emit a stable JSON document")
 
 
 def _add_search_flags(p, atoms_default: str) -> None:
@@ -361,25 +355,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("formula")
     p.add_argument("--state", help="evaluate at this state only")
-    p.add_argument("--mode", choices=("fast", "literal"), default="fast")
-    _add_json(p)
+    p.add_argument("--mode", choices=MODES, default="fast")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("extension", help="print the set of states satisfying a formula")
     p.add_argument("model")
     p.add_argument("formula")
-    p.add_argument("--mode", choices=("fast", "literal"), default="fast")
-    _add_json(p)
+    p.add_argument("--mode", choices=MODES, default="fast")
     p.set_defaults(func=cmd_extension)
 
     p = sub.add_parser("translate", help="print the knowledge form and the expertise-free form")
     p.add_argument("formula")
-    _add_json(p)
     p.set_defaults(func=cmd_translate)
 
     p = sub.add_parser("to-s5", help="print the induced relational model")
     p.add_argument("model")
-    _add_json(p)
     p.set_defaults(func=cmd_to_s5)
 
     p = sub.add_parser(
@@ -388,25 +378,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("model")
     p.add_argument("formula")
-    _add_json(p)
     p.set_defaults(func=cmd_correspondence)
 
     p = sub.add_parser("countermodel", help="bounded countermodel search")
     p.add_argument("formula")
     _add_search_flags(p, "the formula's atoms")
-    _add_json(p)
     p.set_defaults(func=cmd_countermodel)
 
     p = sub.add_parser("equiv", help="bounded equivalence check")
     p.add_argument("left")
     p.add_argument("right")
     _add_search_flags(p, "the atoms of both formulas")
-    _add_json(p)
     p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("check-proof", help="verify a derivation file")
     p.add_argument("proof")
-    _add_json(p)
     p.set_defaults(func=cmd_check_proof)
 
     p = sub.add_parser(
@@ -424,9 +410,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="also sweep the deliberately invalid distribution schema",
     )
     _add_search_flags(p, ",".join(SWEEP_ATOMS))
-    _add_json(p)
     p.set_defaults(func=cmd_soundness_sweep)
 
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true", help="emit a stable JSON document")
     return parser
 
 
@@ -434,7 +421,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a closed pipe shows at the flush when stdout is buffered
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout went away: end quietly, as SIGPIPE would,
+        # with stdout on devnull so the exit flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

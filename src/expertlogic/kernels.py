@@ -19,16 +19,17 @@ below w a fixed periodic int (bit t is bit b of t), for higher bits
 all-ones or zero (atom_planes).
 
 The partition is given by its block ends, and its blocks are contiguous
-runs of states, as the search's shape representatives are.  Each op has
-a static level, recorded in Program.levels, that says what its value
-holds:
+runs of states, as the search's shape representatives are.  A value's
+shape says what it holds:
 
-    ROW     a list of n ints, one per state (an atom)
-    BLOCK   a list of ints, one per block (S)
-    GLOBAL  one int, the same at every state (T, E, A)
+    int     the same at every state (T, E, A)
+    list    one int per block (S), or one int per state (an atom)
 
-~ keeps its operand's level and & takes the finer of its operands'
-levels, so a value is never wider than its op needs.
+~ keeps its operand's shape and & takes the finer of its operands', so
+a value is never wider than its op needs.  A list is per block when it
+is shorter than n.  When every block is one state the two lists have the
+same length and the same bits, so either reading is right: S is then the
+identity and no block is split.
 
 Each op also has a static polarity, recorded in Program.negated: the slot
 of a negated op holds the complement of the op's value.  So ~ costs
@@ -94,11 +95,6 @@ OP_A = 5
 
 _OPCODE = {Not: OP_NOT, And: OP_AND, ModalE: OP_E, ModalS: OP_S, ModalA: OP_A}
 
-# levels, finest first: & takes the smaller of its operands'
-ROW = 0
-BLOCK = 1
-GLOBAL = 2
-
 # log2 of the most codes one eval_chunk call evaluates
 WINDOW_BITS = 18
 
@@ -110,16 +106,14 @@ bytes(8 << 20)
 class Program:
     """One formula as (opcode, a, b) ops, fixed to an atom order.
 
-    levels[t] is op t's level (ROW, BLOCK or GLOBAL) and negated[t] its
-    polarity: whether slot t holds the complement of op t's value.
-    frees[t] lists the slots whose last reader is op t; the root's slot is
-    never freed.
+    negated[t] is op t's polarity: whether slot t holds the complement of
+    op t's value.  frees[t] lists the slots whose last reader is op t; the
+    root's slot is never freed.
     """
 
     ops: tuple[tuple[int, int, int], ...]
     atom_order: tuple[str, ...]
     frees: tuple[tuple[int, ...], ...]
-    levels: tuple[int, ...]
     negated: tuple[bool, ...]
 
 
@@ -136,42 +130,33 @@ def compile_program(f: Formula, atom_order) -> Program:
     index = {a: i for i, a in enumerate(atom_order)}
     slot: dict[Formula, int] = {}
     ops: list[tuple[int, int, int]] = []
-    levels: list[int] = []
     negated: list[bool] = []
     last_reader: dict[int, int] = {}
     loose: set[str] = set()
     for g in subformulas(f):
-        if isinstance(g, Top):
-            ops.append((OP_ATOM, -1, -1))
-            levels.append(GLOBAL)
-            negated.append(False)
-        elif isinstance(g, Atom):
+        kind = type(g)
+        if kind is Atom:
             column = index.get(g.name, -1)
-            if g.name not in index:
+            if column < 0:
                 loose.add(g.name)
-            ops.append((OP_ATOM, column, column))
-            levels.append(ROW)
-            negated.append(False)
-        elif type(g) in _OPCODE:
-            op = _OPCODE[type(g)]
+            op, neg = (OP_ATOM, column, column), False
+        elif kind is Top:
+            op, neg = (OP_ATOM, -1, -1), False
+        elif kind in _OPCODE:
             a, b = slot[g.children[0]], slot[g.children[-1]]
             last_reader[a] = last_reader[b] = len(ops)
-            ops.append((op, a, b))
-            if op == OP_S:
-                levels.append(max(levels[a], BLOCK))
-            elif op in (OP_E, OP_A):
-                levels.append(GLOBAL)
+            op = (_OPCODE[kind], a, b)
+            # ~ flips its operand's polarity, E is never negated, and &, S
+            # and A are negated iff every operand is
+            if kind is Not:
+                neg = not negated[a]
             else:
-                levels.append(min(levels[a], levels[b]))
-            if op == OP_NOT:
-                negated.append(not negated[a])
-            elif op == OP_E:
-                negated.append(False)
-            else:
-                negated.append(negated[a] and negated[b])
+                neg = kind is not ModalE and negated[a] and negated[b]
         else:
             raise ValueError("bounded search covers only E/S/A formulas")
-        slot[g] = len(ops) - 1
+        slot[g] = len(ops)
+        ops.append(op)
+        negated.append(neg)
     if loose:
         raise ValueError(
             "formula mentions atoms outside the search valuations: "
@@ -184,7 +169,6 @@ def compile_program(f: Formula, atom_order) -> Program:
         ops=tuple(ops),
         atom_order=tuple(atom_order),
         frees=tuple(frees),
-        levels=tuple(levels),
         negated=tuple(negated),
     )
 
@@ -220,61 +204,61 @@ def atom_planes(n: int, k: int, start: int, w: int) -> list[int]:
 def eval_chunk(program: Program, planes: list[int], ends) -> list[int]:
     """The root's rows over one window: planes from atom_planes, ends the
     partition's block ends (state i is in the block that ends first past
-    i).  A ROW or BLOCK root comes back as one int per state; a GLOBAL
-    root as a single row that stands for every state."""
+    i).  A root held per state or per block comes back as one int per
+    state; a root held as one int as a single row that stands for every
+    state."""
     n = ends[-1]
     full = planes[-1]
     spans = list(zip([0, *ends], ends))
-    levels, negated = program.levels, program.negated
+    blocks = len(spans)
+    negated = program.negated
     slots: list = [None] * len(program.ops)
     for t, (op, a, b) in enumerate(program.ops):
         if op == OP_ATOM:
             slots[t] = full if a < 0 else planes[a * n : a * n + n]
             continue
-        x, level = slots[a], levels[a]
+        x = slots[a]
         if op == OP_NOT:
             ext = x
         elif op == OP_AND:
-            y, lb = slots[b], levels[b]
+            y = slots[b]
             if negated[a] == negated[b]:
                 f = or_ if negated[a] else and_
             else:
                 f = _and_not
                 if negated[a]:
-                    x, level, y, lb = y, lb, x, level
-            if level != lb:
-                ext = _broadcast(f, x, level, y, lb, spans)
-            elif level == GLOBAL:
+                    x, y = y, x
+            if type(x) is int and type(y) is int:
                 ext = f(x, y)
+            elif type(x) is int or type(y) is int or len(x) != len(y):
+                ext = _broadcast(f, x, y, spans)
             elif f is _and_not:
                 # _and_not row by row, without a Python call per row
                 ext = list(map(xor, x, map(and_, x, y)))
             else:
                 ext = list(map(f, x, y))
+        elif op == OP_A:
+            ext = x if type(x) is int else reduce(or_ if negated[a] else and_, x)
+        elif type(x) is int or len(x) == blocks:
+            # the same on each block: S keeps it and E finds no block split
+            ext = x if op == OP_S else full
         elif op == OP_S:
-            if level == ROW:
-                f = and_ if negated[a] else or_
-                ext = [reduce(f, x[s:e]) for s, e in spans]
-            else:
-                ext = x
-        elif op == OP_E:
-            ext = full
-            if level == ROW:
-                split = 0
-                for s, e in spans:
-                    if e - s > 1:
-                        rows = x[s:e]
-                        split |= reduce(or_, rows) ^ reduce(and_, rows)
-                ext ^= split
+            f = and_ if negated[a] else or_
+            ext = [reduce(f, x[s:e]) for s, e in spans]
         else:
-            ext = x if level == GLOBAL else reduce(or_ if negated[a] else and_, x)
+            split = 0
+            for s, e in spans:
+                if e - s > 1:
+                    rows = x[s:e]
+                    split |= reduce(or_, rows) ^ reduce(and_, rows)
+            ext = full ^ split
         slots[t] = ext
         for s in program.frees[t]:
             slots[s] = None
     root = slots[-1]
-    if levels[-1] == GLOBAL:
+    if type(root) is int:
         root = [root]
-    elif levels[-1] == BLOCK:
+    elif len(root) < n:
         root = [v for v, (s, e) in zip(root, spans) for _ in range(s, e)]
     return list(map(full.__xor__, root)) if negated[-1] else root
 
@@ -284,13 +268,13 @@ def _and_not(u: int, v: int) -> int:
     return u ^ (u & v)
 
 
-def _broadcast(f, x, lx: int, y, ly: int, spans) -> list[int]:
-    """f(x, y) row by row for operands of different levels, the coarser
+def _broadcast(f, x, y, spans) -> list[int]:
+    """f(x, y) row by row for operands of different shapes, the coarser
     one repeated over the finer one's rows."""
-    if lx > ly:
-        if lx == GLOBAL:
-            return [f(x, v) for v in y]
-        return [f(u, v) for u, (s, e) in zip(x, spans) for v in y[s:e]]
-    if ly == GLOBAL:
+    if type(x) is int:
+        return [f(x, v) for v in y]
+    if type(y) is int:
         return [f(u, y) for u in x]
+    if len(x) < len(y):
+        return [f(u, v) for u, (s, e) in zip(x, spans) for v in y[s:e]]
     return [f(u, v) for v, (s, e) in zip(y, spans) for u in x[s:e]]

@@ -93,10 +93,6 @@ def mask_of(names: Iterable[str], states: tuple[str, ...]) -> Mask:
     return mask
 
 
-def _lowest_bit_key(mask: Mask) -> int:
-    return mask & -mask
-
-
 @dataclass(frozen=True)
 class Partition:
     """Disjoint nonempty blocks, sorted by their least state index."""
@@ -113,7 +109,7 @@ class Partition:
             if union & b:
                 raise ModelFormatError("partition blocks must be disjoint")
             union |= b
-        return cls(tuple(sorted(blocks, key=_lowest_bit_key)))
+        return cls(tuple(sorted(blocks, key=lambda b: b & -b)))
 
     @property
     def universe(self) -> Mask:
@@ -323,7 +319,7 @@ class RelationalModel(_ModelBase):
         for i, mask in enumerate(self.succ):
             for j in _bit_indices(mask):
                 if self.succ[j] & ~mask:
-                    k = _lowest_bit_index(self.succ[j] & ~mask)
+                    k = next(_bit_indices(self.succ[j] & ~mask))
                     return RelationError(
                         "transitive", (self.states[i], self.states[j], self.states[k])
                     )
@@ -339,10 +335,6 @@ def _bit_indices(mask: Mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _lowest_bit_index(mask: Mask) -> int:
-    return (mask & -mask).bit_length() - 1
 
 
 def to_s5_model(model: ExpertiseModel) -> RelationalModel:
@@ -404,8 +396,6 @@ def model_from_dict(doc: Mapping) -> ExpertiseModel:
             for block in _name_lists(doc["partition"], "'partition'")
         ]
         partition = Partition.from_blocks(blocks)
-        if partition.universe != (1 << len(states)) - 1:
-            raise ModelFormatError("partition must cover every state")
     else:
         family = [
             mask_of(member, states)
@@ -440,6 +430,8 @@ def load_model(path: str) -> ExpertiseModel:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
+        except UnicodeDecodeError as e:
+            raise ModelFormatError(f"invalid UTF-8 in {path}: {e}") from None
         except json.JSONDecodeError as e:
             raise ModelFormatError(f"invalid JSON in {path}: {e}") from None
         except RecursionError:

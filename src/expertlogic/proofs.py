@@ -383,7 +383,11 @@ def _parse_justification(text: str, line_no: int) -> Justification:
 
 def load_derivation(path: str) -> Derivation:
     with open(path, encoding="utf-8") as fh:
-        return parse_derivation(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise DerivationFormatError(f"invalid UTF-8 in {path}: {e}") from None
+    return parse_derivation(text)
 
 
 # --- soundness sweeps --------------------------------------------------------

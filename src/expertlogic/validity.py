@@ -79,14 +79,10 @@ def resolve_engine(requested: str | None = None) -> str:
 
 @cache
 def bell_number(n: int) -> int:
-    """Number of partitions of an n-element set (triangle recurrence)."""
-    row = [1]
-    for _ in range(n):
-        nxt = [row[-1]]
-        for value in row:
-            nxt.append(nxt[-1] + value)
-        row = nxt
-    return row[0]
+    """Number of partitions of an n-element set: the restricted growth
+    strings of n entries, a 0 and n - 1 more (_tails; at n = 0 the one row
+    of _tails(0) gives the 1)."""
+    return _tails(n)[n - 1][0]
 
 
 def rgs_partitions(n: int) -> Iterator[tuple[int, ...]]:
@@ -127,6 +123,18 @@ def _shapes(n: int, most: int) -> Iterator[tuple[int, ...]]:
             yield (first, *rest)
 
 
+def _tails(n: int) -> list[list[int]]:
+    """tails[r][m], for r < max(n, 1) and m <= n - r: the restricted
+    growth strings of r more entries after a prefix whose largest block
+    index is m.  Its two callers are cached, so it runs at most twice per
+    n."""
+    tails = [[1] * (n + 1)]
+    for r in range(1, n):
+        prev = tails[-1]
+        tails.append([(m + 1) * prev[m] + prev[m + 1] for m in range(n + 1 - r)])
+    return tails
+
+
 @cache
 def _representatives(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """(rank, rgs) of the first partition in RGS order of each block-size
@@ -135,12 +143,7 @@ def _representatives(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     representative of a shape is the contiguous RGS with blocks in
     non-increasing size, and its rank sums, over each entry, the strings
     that agree before it and have a smaller value there."""
-    # tails[r][m]: strings of r more entries after a prefix whose largest
-    # block index is m
-    tails = [[1] * (n + 1)]
-    for r in range(1, n):
-        prev = tails[-1]
-        tails.append([(m + 1) * prev[m] + prev[m + 1] for m in range(n + 1 - r)])
+    tails = _tails(n)
     reps = []
     for shape in _shapes(n, n):
         rgs = tuple(j for j, size in enumerate(shape) for _ in range(size))

@@ -169,6 +169,21 @@ class TestExtension:
         assert err.startswith("error: invalid JSON in "), err
         assert "nested too deeply" in err
 
+    def test_partition_that_misses_a_state_is_a_format_error(self, capsys, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"states": ["a", "b"], "partition": [["a"]]}))
+        code, out, err = run(capsys, "extension", str(path), "T")
+        assert (code, out) == (2, "")
+        assert err == "error: partition must cover exactly the state space\n"
+
+    @pytest.mark.parametrize("argv", [("eval", "p"), ("check-proof",)])
+    def test_a_file_that_is_not_utf8_is_named(self, capsys, tmp_path, argv):
+        path = tmp_path / "input"
+        path.write_bytes(b"\xff{}")
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: invalid UTF-8 in {path}: "), err
+
 
 class TestTranslate:
     def test_both_forms(self, capsys):
@@ -530,6 +545,30 @@ def test_default_search_space_agrees_with_brute_force(f):
 
 
 class TestEntryPoint:
+    @pytest.mark.parametrize("buffered", [True, False])
+    @pytest.mark.parametrize(
+        "argv",
+        [("to-s5", ECONOMIST), ("countermodel", "E (p -> q) -> E p -> E q", "--json")],
+    )
+    def test_closed_stdout_pipe_ends_quietly(self, argv, buffered):
+        # 141 is 128 + SIGPIPE, what a shell shows for a tool SIGPIPE ended
+        env = {k: v for k, v in CHILD_ENV.items() if k != "PYTHONUNBUFFERED"}
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "expertlogic", *argv],
+                env=env,
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, "")
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "expertlogic", "extension", ECONOMIST, "r & p"],

@@ -13,14 +13,11 @@ from hypothesis import given
 
 from expertlogic.formula import And, Atom, parse, subformulas, to_knowledge_form
 from expertlogic.kernels import (
-    BLOCK,
-    GLOBAL,
     OP_AND,
     OP_ATOM,
     OP_E,
     OP_NOT,
     OP_S,
-    ROW,
     WINDOW_BITS,
     atom_planes,
     compile_program,
@@ -155,22 +152,6 @@ class TestCompile:
         assert [sorted(f) for f in prog.frees] == [[], [], [], [1, 2], [0, 3]]
 
     @pytest.mark.parametrize(
-        "text, levels",
-        [
-            ("E p & ~q", (ROW, GLOBAL, ROW, ROW, ROW)),
-            ("S p & ~S p", (ROW, BLOCK, BLOCK, BLOCK)),
-            ("S p & E q", (ROW, BLOCK, ROW, GLOBAL, BLOCK)),
-            ("A S p", (ROW, BLOCK, GLOBAL)),
-            ("S A p", (ROW, GLOBAL, GLOBAL)),
-            ("S T & p", (GLOBAL, GLOBAL, ROW, ROW)),
-        ],
-    )
-    def test_levels(self, text, levels):
-        # atoms are per row, T, E and A global, S per block (or coarser),
-        # ~ keeps its operand's level and & takes the finer one
-        assert compile_program(parse(text), ("p", "q")).levels == levels
-
-    @pytest.mark.parametrize(
         "text, negated",
         [
             ("~p", (False, True)),
@@ -201,6 +182,32 @@ def test_every_slot_but_the_root_is_freed_once_after_its_last_read(f):
     for t, frees in enumerate(prog.frees):
         assert all(last[s] == t for s in frees)
     assert len(prog.ops) == len(list(subformulas(f)))
+
+
+class TestShapes:
+    """Each value is as narrow as its op needs: one int when it is the same
+    at every state, one per block for S, one per state otherwise.  The
+    rows come from 4 states in blocks (2, 4) over {p, q}, in one window of
+    2^8 codes, so they are too large for CPython's cached small ints and
+    `is` tells one repeated row from equal ones."""
+
+    @staticmethod
+    def _rows(text):
+        return _run(compile_program(parse(text), ("p", "q")), 4, (2, 4), 0, 8)
+
+    @pytest.mark.parametrize("text", ["E p", "A (S p -> p)", "S A p"])
+    def test_a_root_the_same_at_every_state_is_one_row(self, text):
+        assert len(self._rows(text)) == 1
+
+    @pytest.mark.parametrize("text", ["S p & S q", "S p & ~S q"])
+    def test_a_per_block_root_is_one_int_per_block(self, text):
+        rows = self._rows(text)
+        assert rows[0] is rows[1] and rows[2] is rows[3]
+        assert rows[1] is not rows[2]
+
+    def test_a_per_state_root_is_one_int_per_state(self):
+        rows = self._rows("p & S q")
+        assert len({id(r) for r in rows}) == 4
 
 
 class TestAtomPlanes:
