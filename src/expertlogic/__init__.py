@@ -1,171 +1,121 @@
 """Modal logic of expertise and soundness: models, model checking, bounded
-countermodel search and Hilbert-style proof checking."""
+countermodel search and Hilbert-style proof checking.
 
-from .formula import (
-    Atom,
-    And,
-    BOT,
-    Formula,
-    FormulaSyntaxError,
-    Iff,
-    Imp,
-    ModalA,
-    ModalE,
-    ModalK,
-    ModalS,
-    Not,
-    Or,
-    TOP,
-    Top,
-    UnknownOperatorError,
-    atom_names,
-    eliminate_expertise,
-    in_expertise_language,
-    in_ka_fragment,
-    in_sa_fragment,
-    modal_depth,
-    parse,
-    render,
-    to_knowledge_form,
-)
-from .model import (
-    ExpertiseModel,
-    ExpertiseSetError,
-    LawViolation,
-    ModelFormatError,
-    Partition,
-    RelationError,
-    RelationalModel,
-    closure,
-    expertise_set_from_partition,
-    from_s5_model,
-    load_model,
-    mask_of,
-    model_from_dict,
-    model_to_dict,
-    partition_from_expertise_set,
-    relational_to_dict,
-    set_names,
-    to_s5_model,
-    verify_expertise_set,
-)
-from .semantics import (
-    CorrespondenceReport,
-    UnknownAtomWarning,
-    check_correspondence,
-    extension,
-    extension_relational,
-    globally_true,
-    holds,
-    holds_relational,
-)
-from .validity import (
-    ENGINES,
-    EnumerationSpec,
-    SearchStats,
-    Verdict,
-    bell_number,
-    check_equivalence,
-    corpus_formulas,
-    enumerate_models,
-    find_countermodel,
-)
-from .proofs import (
-    AxiomSchema,
-    Derivation,
-    DerivationFormatError,
-    DerivationVerdict,
-    E_DISTRIBUTION,
-    SCHEMAS,
-    Step,
-    SweepReport,
-    TautologyLimitError,
-    check_derivation,
-    check_taut,
-    instantiate,
-    load_derivation,
-    match_schema,
-    parse_derivation,
-    soundness_sweep,
-)
+Every public name is exported from the package root, and each loads on
+first use: `from expertlogic import parse` imports expertlogic.formula
+then, and a program that never touches a proof never imports
+expertlogic.proofs.  `from expertlogic import X` and `expertlogic.X` work
+as before, for the names below and for the submodules.
+"""
 
-__all__ = [
-    "Atom",
-    "And",
-    "AxiomSchema",
-    "BOT",
-    "CorrespondenceReport",
-    "Derivation",
-    "DerivationFormatError",
-    "DerivationVerdict",
-    "E_DISTRIBUTION",
-    "ENGINES",
-    "EnumerationSpec",
-    "ExpertiseModel",
-    "ExpertiseSetError",
-    "Formula",
-    "FormulaSyntaxError",
-    "Iff",
-    "Imp",
-    "LawViolation",
-    "ModalA",
-    "ModalE",
-    "ModalK",
-    "ModalS",
-    "ModelFormatError",
-    "Not",
-    "Or",
-    "Partition",
-    "RelationError",
-    "RelationalModel",
-    "SCHEMAS",
-    "SearchStats",
-    "Step",
-    "SweepReport",
-    "TOP",
-    "TautologyLimitError",
-    "Top",
-    "UnknownAtomWarning",
-    "UnknownOperatorError",
-    "Verdict",
-    "atom_names",
-    "bell_number",
-    "check_correspondence",
-    "check_derivation",
-    "check_equivalence",
-    "check_taut",
-    "closure",
-    "corpus_formulas",
-    "eliminate_expertise",
-    "enumerate_models",
-    "expertise_set_from_partition",
-    "extension",
-    "extension_relational",
-    "find_countermodel",
-    "from_s5_model",
-    "globally_true",
-    "holds",
-    "holds_relational",
-    "in_expertise_language",
-    "in_ka_fragment",
-    "in_sa_fragment",
-    "instantiate",
-    "load_derivation",
-    "load_model",
-    "mask_of",
-    "match_schema",
-    "modal_depth",
-    "model_from_dict",
-    "model_to_dict",
-    "parse",
-    "parse_derivation",
-    "partition_from_expertise_set",
-    "relational_to_dict",
-    "render",
-    "set_names",
-    "soundness_sweep",
-    "to_knowledge_form",
-    "to_s5_model",
-    "verify_expertise_set",
-]
+import importlib
 
+# owning module -> the public names it exports
+_EXPORTS = {
+    "formula": (
+        "Atom",
+        "And",
+        "BOT",
+        "Formula",
+        "FormulaSyntaxError",
+        "Iff",
+        "Imp",
+        "ModalA",
+        "ModalE",
+        "ModalK",
+        "ModalS",
+        "Not",
+        "Or",
+        "TOP",
+        "Top",
+        "UnknownOperatorError",
+        "atom_names",
+        "eliminate_expertise",
+        "in_expertise_language",
+        "in_ka_fragment",
+        "in_sa_fragment",
+        "modal_depth",
+        "parse",
+        "render",
+        "to_knowledge_form",
+    ),
+    "model": (
+        "ExpertiseModel",
+        "ExpertiseSetError",
+        "LawViolation",
+        "ModelFormatError",
+        "Partition",
+        "RelationError",
+        "RelationalModel",
+        "closure",
+        "expertise_set_from_partition",
+        "from_s5_model",
+        "load_model",
+        "mask_of",
+        "model_from_dict",
+        "model_to_dict",
+        "partition_from_expertise_set",
+        "relational_to_dict",
+        "set_names",
+        "to_s5_model",
+        "verify_expertise_set",
+    ),
+    "semantics": (
+        "CorrespondenceReport",
+        "UnknownAtomWarning",
+        "check_correspondence",
+        "extension",
+        "extension_relational",
+        "globally_true",
+        "holds",
+        "holds_relational",
+    ),
+    "validity": (
+        "ENGINES",
+        "EnumerationSpec",
+        "SearchStats",
+        "Verdict",
+        "bell_number",
+        "check_equivalence",
+        "corpus_formulas",
+        "enumerate_models",
+        "find_countermodel",
+    ),
+    "proofs": (
+        "AxiomSchema",
+        "Derivation",
+        "DerivationFormatError",
+        "DerivationVerdict",
+        "E_DISTRIBUTION",
+        "SCHEMAS",
+        "Step",
+        "SweepReport",
+        "TautologyLimitError",
+        "check_derivation",
+        "check_taut",
+        "instantiate",
+        "load_derivation",
+        "match_schema",
+        "parse_derivation",
+        "soundness_sweep",
+    ),
+}
+_SUBMODULES = (*_EXPORTS, "kernels", "cli")
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name: str):
+    if name in _OWNER:
+        value = getattr(importlib.import_module(f".{_OWNER[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_OWNER, *_SUBMODULES})

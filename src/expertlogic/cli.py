@@ -20,7 +20,11 @@ internal fault (a search witness that fails its re-check, or any other
 unexpected exception), 141 (128 + SIGPIPE) when the reader of stdout
 closes it early; otherwise 0/1 encode the answer (true/false,
 agrees/differs, no-countermodel/found, proof ok/bad step, sweep
-clean/violations).
+clean/violations).  A warning prints once per command, as one line
+`<category>: <message>` on stderr.
+
+Only check-proof and soundness-sweep import the proof layer, so the
+other commands start without it.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 from .formula import (
     atom_names,
@@ -43,13 +48,6 @@ from .model import (
     relational_to_dict,
     set_names,
     to_s5_model,
-)
-from .proofs import (
-    E_DISTRIBUTION,
-    SCHEMAS,
-    check_derivation,
-    load_derivation,
-    soundness_sweep,
 )
 from .semantics import MODES, check_correspondence, extension
 from .validity import (
@@ -259,6 +257,8 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_check_proof(args) -> int:
+    from .proofs import check_derivation, load_derivation
+
     derivation = load_derivation(args.proof)
     verdict = check_derivation(derivation)
     if args.json:
@@ -278,6 +278,8 @@ def cmd_check_proof(args) -> int:
 
 
 def cmd_soundness_sweep(args) -> int:
+    from .proofs import E_DISTRIBUTION, SCHEMAS, soundness_sweep
+
     if args.schemas is not None:
         known = {**SCHEMAS, E_DISTRIBUTION.name: E_DISTRIBUTION}
         chosen = []
@@ -420,22 +422,35 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        code = args.func(args)
-        # a closed pipe shows at the flush when stdout is buffered
-        sys.stdout.flush()
-        return code
-    except BrokenPipeError:
-        # the reader of stdout went away: end quietly, as SIGPIPE would,
-        # with stdout on devnull so the exit flush cannot raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
-    except (ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except Exception as e:
-        print(f"internal error: {e}", file=sys.stderr)
-        return 3
+    shown = set()
+
+    def show_warning(message, category, filename, lineno, file=None, line=None):
+        # one line per distinct warning, without the source location
+        text = f"{category.__name__}: {message}"
+        if text not in shown:
+            shown.add(text)
+            print(text, file=sys.stderr)
+
+    # leaving catch_warnings restores showwarning; entering it forgets the
+    # warnings shown before, so each command in one process warns anew
+    with warnings.catch_warnings():
+        warnings.showwarning = show_warning
+        try:
+            code = args.func(args)
+            # a closed pipe shows at the flush when stdout is buffered
+            sys.stdout.flush()
+            return code
+        except BrokenPipeError:
+            # the reader of stdout went away: end quietly, as SIGPIPE would,
+            # with stdout on devnull so the exit flush cannot raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 141
+        except (ValueError, OSError) as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 2
+        except Exception as e:
+            print(f"internal error: {e}", file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

@@ -43,6 +43,10 @@ explicit operator stacks, so no function recurses on a formula's depth.
 render() inverts the sugar for F, '|', '->' and '<->' but never for the
 duals, and prints the minimal spacing/parenthesisation used throughout the
 docs; parse(render(f)) == f for every core tree f.
+
+Record, the base of the package's immutable value classes (models,
+verdicts, proof objects), lives here because every module imports this
+one.
 """
 
 from __future__ import annotations
@@ -154,6 +158,64 @@ class ModalA(Formula):
 
 class ModalK(Formula):
     __slots__ = ("child",)
+
+
+class Record:
+    """Base of the package's immutable value classes (models, search
+    verdicts, proof objects).
+
+    A subclass declares its fields as annotations, in order; a class
+    attribute of the same name is the field's default.  An instance keeps
+    its fields in its __dict__ and refuses assignment and deletion.  ==
+    and hash compare the tuple of field values, and only between
+    instances of one class.
+
+    The inherited __init__ binds positional and keyword arguments to the
+    fields.  A class that checks its fields, or that every search builds,
+    defines a plain __init__ that fills self.__dict__ itself.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = {f: vars(cls)[f] for f in cls._fields if f in vars(cls)}
+
+    def __init__(self, *args, **kwargs):
+        name, fields = type(self).__name__, self._fields
+        # a keyword must name a field that no positional argument filled
+        if len(args) > len(fields) or not kwargs.keys() <= set(fields[len(args):]):
+            raise TypeError(f"{name}() got too many or unexpected arguments")
+        given = {**self._defaults, **dict(zip(fields, args)), **kwargs}
+        missing = [f for f in fields if f not in given]
+        if missing:
+            raise TypeError(f"{name}() is missing argument(s): {', '.join(missing)}")
+        self.__dict__.update((f, given[f]) for f in fields)
+
+    def _values(self) -> tuple:
+        values = self.__dict__
+        return tuple([values[f] for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
 
 
 _OPERATOR_LETTERS = {"E": ModalE, "S": ModalS, "A": ModalA, "K": ModalK}

@@ -70,7 +70,6 @@ and an allocator without that rule ignores it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, reduce
 from operator import and_, or_, xor
 
@@ -82,6 +81,7 @@ from .formula import (
     ModalE,
     ModalS,
     Not,
+    Record,
     Top,
     subformulas,
 )
@@ -102,8 +102,7 @@ WINDOW_BITS = 18
 bytes(8 << 20)
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(Record):
     """One formula as (opcode, a, b) ops, fixed to an atom order.
 
     negated[t] is op t's polarity: whether slot t holds the complement of
@@ -115,6 +114,13 @@ class Program:
     atom_order: tuple[str, ...]
     frees: tuple[tuple[int, ...], ...]
     negated: tuple[bool, ...]
+
+    def __init__(self, ops, atom_order, frees, negated):
+        values = self.__dict__
+        values["ops"] = ops
+        values["atom_order"] = atom_order
+        values["frees"] = frees
+        values["negated"] = negated
 
 
 def compile_program(f: Formula, atom_order) -> Program:

@@ -28,11 +28,10 @@ On disk a model is a JSON object: {"states": [...], "valuation":
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .formula import is_atom_name
+from .formula import Record, is_atom_name
 
 Mask = int
 
@@ -41,8 +40,7 @@ class ModelFormatError(ValueError):
     """Malformed model description (JSON structure, names, coverage)."""
 
 
-@dataclass(frozen=True)
-class LawViolation:
+class LawViolation(Record):
     """One broken closure law, with the sets that witness the break."""
 
     law: str  # 'whole-set' | 'complements' | 'intersections'
@@ -93,11 +91,13 @@ def mask_of(names: Iterable[str], states: tuple[str, ...]) -> Mask:
     return mask
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Record):
     """Disjoint nonempty blocks, sorted by their least state index."""
 
     blocks: tuple[Mask, ...]
+
+    def __init__(self, blocks: tuple[Mask, ...]):
+        self.__dict__["blocks"] = blocks
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Mask]) -> "Partition":
@@ -224,11 +224,12 @@ def _check_states(states: tuple[str, ...]) -> None:
         raise ModelFormatError("state names must be nonempty strings")
 
 
-class _ModelBase:
+class _ModelBase(Record):
     """What both model kinds derive from `states` and `valuation`.
 
-    Declares no dataclass fields, so each subclass keeps its own
-    constructor, equality and hashing.
+    It declares no fields: each subclass declares its own and checks them
+    in its own __init__.  The two cached lookups live in the instance's
+    __dict__ beside the fields, which equality and hashing ignore.
     """
 
     @property
@@ -258,7 +259,6 @@ class _ModelBase:
         return self._valuation_dict.get(name)
 
 
-@dataclass(frozen=True)
 class ExpertiseModel(_ModelBase):
     """Finite state space, expertise partition, and atom valuation.
 
@@ -268,17 +268,19 @@ class ExpertiseModel(_ModelBase):
 
     states: tuple[str, ...]
     partition: Partition
-    valuation: tuple[tuple[str, Mask], ...] = field(default=())
+    valuation: tuple[tuple[str, Mask], ...] = ()
 
-    def __post_init__(self):
-        _check_states(self.states)
-        if self.partition.universe != self.full_mask:
+    def __init__(self, states, partition, valuation=()):
+        _check_states(states)
+        if partition.universe != (1 << len(states)) - 1:
             raise ModelFormatError("partition must cover exactly the state space")
-        _check_valuation(self.valuation, self.states)
-        object.__setattr__(self, "valuation", tuple(sorted(self.valuation)))
+        _check_valuation(valuation, states)
+        values = self.__dict__
+        values["states"] = states
+        values["partition"] = partition
+        values["valuation"] = tuple(sorted(valuation))
 
 
-@dataclass(frozen=True)
 class RelationalModel(_ModelBase):
     """State space with one accessibility relation plus the global one.
 
@@ -290,17 +292,20 @@ class RelationalModel(_ModelBase):
 
     states: tuple[str, ...]
     succ: tuple[Mask, ...]
-    valuation: tuple[tuple[str, Mask], ...] = field(default=())
+    valuation: tuple[tuple[str, Mask], ...] = ()
 
-    def __post_init__(self):
-        _check_states(self.states)
-        if len(self.succ) != len(self.states):
+    def __init__(self, states, succ, valuation=()):
+        _check_states(states)
+        if len(succ) != len(states):
             raise ModelFormatError("need one successor set per state")
-        full = self.full_mask
-        if any(s & ~full for s in self.succ):
+        full = (1 << len(states)) - 1
+        if any(s & ~full for s in succ):
             raise ModelFormatError("successor sets go outside the state space")
-        _check_valuation(self.valuation, self.states)
-        object.__setattr__(self, "valuation", tuple(sorted(self.valuation)))
+        _check_valuation(valuation, states)
+        values = self.__dict__
+        values["states"] = states
+        values["succ"] = succ
+        values["valuation"] = tuple(sorted(valuation))
 
     def pairs(self) -> list[tuple[str, str]]:
         out = []

@@ -39,7 +39,6 @@ from __future__ import annotations
 import itertools
 import re
 import time
-from dataclasses import dataclass, field
 from typing import Mapping
 
 from .formula import (
@@ -52,6 +51,7 @@ from .formula import (
     ModalE,
     ModalS,
     Not,
+    Record,
     TOP,
     Top,
     in_expertise_language,
@@ -76,8 +76,7 @@ PHI = Meta("phi")
 PSI = Meta("psi")
 
 
-@dataclass(frozen=True)
-class AxiomSchema:
+class AxiomSchema(Record):
     name: str
     template: Formula
 
@@ -188,44 +187,37 @@ def check_taut(f: Formula) -> bool:
 
 # --- derivations -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Taut:
-    pass
+class Taut(Record):
+    """The step is a propositional tautology."""
 
 
-@dataclass(frozen=True)
-class Axiom:
+class Axiom(Record):
     name: str
     substitution: tuple[tuple[str, Formula], ...] | None = None
 
 
-@dataclass(frozen=True)
-class MP:
+class MP(Record):
     premise: int
     implication: int
 
 
-@dataclass(frozen=True)
-class NecA:
+class NecA(Record):
     premise: int
 
 
-@dataclass(frozen=True)
-class RS:
+class RS(Record):
     premise: int
 
 
 Justification = Taut | Axiom | MP | NecA | RS
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(Record):
     formula: Formula
     justification: Justification
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(Record):
     steps: tuple[Step, ...]
 
     @property
@@ -233,8 +225,7 @@ class Derivation:
         return self.steps[-1].formula
 
 
-@dataclass(frozen=True)
-class DerivationVerdict:
+class DerivationVerdict(Record):
     ok: bool
     step: int | None = None
     reason: str | None = None
@@ -392,21 +383,19 @@ def load_derivation(path: str) -> Derivation:
 
 # --- soundness sweeps --------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepViolation:
+class SweepViolation(Record):
     schema: str
     substitution: tuple[tuple[str, Formula], ...]
     verdict: Verdict
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(Record):
     schemas: tuple[str, ...]
     corpus: tuple[Formula, ...]
     spec: EnumerationSpec
     engine: str
     instances_checked: int
-    violations: tuple[SweepViolation, ...] = field(default=())
+    violations: tuple[SweepViolation, ...] = ()
     elapsed_s: float = 0.0
 
     @property

@@ -26,7 +26,6 @@ UnknownAtomWarning once per call.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 from .formula import (
     And,
@@ -37,6 +36,7 @@ from .formula import (
     ModalK,
     ModalS,
     Not,
+    Record,
     Top,
     subformulas,
     to_knowledge_form,
@@ -154,8 +154,7 @@ def holds_relational(rmodel: RelationalModel, state: str, f: Formula) -> bool:
     return bool((extension_relational(rmodel, f) >> i) & 1)
 
 
-@dataclass(frozen=True)
-class CorrespondenceReport:
+class CorrespondenceReport(Record):
     """State-by-state comparison of a formula with its knowledge form.
 
     `source_extension` is computed on the expertise model, and

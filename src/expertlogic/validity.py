@@ -55,14 +55,13 @@ countermodel.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import chain, islice
 from operator import and_
 from typing import Iterable, Iterator, Sequence
 
 from . import kernels
-from .formula import Formula, Iff, is_atom_name, parse, render
+from .formula import Formula, Iff, Record, is_atom_name, parse, render
 from .model import ExpertiseModel, Mask, Partition, model_to_dict
 from .semantics import extension, holds
 
@@ -155,29 +154,32 @@ def _representatives(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     return tuple(reps)
 
 
-@dataclass(frozen=True)
-class EnumerationSpec:
+class EnumerationSpec(Record):
     """Bound for a search: up to n_states states, valuations over atoms."""
 
     n_states: int
     atoms: tuple[str, ...]
     limit: int | None = None
 
-    def __post_init__(self):
-        if self.n_states < 1:
+    def __init__(self, n_states, atoms, limit=None):
+        if n_states < 1:
             raise ValueError("need at least one state")
-        if self.n_states > 12:
+        if n_states > 12:
             raise ValueError("bounds beyond 12 states are not tractable here")
-        object.__setattr__(self, "atoms", tuple(self.atoms))
-        if len(set(self.atoms)) != len(self.atoms):
+        atoms = tuple(atoms)
+        if len(set(atoms)) != len(atoms):
             raise ValueError("search atoms must be distinct")
-        for a in self.atoms:
+        for a in atoms:
             if not is_atom_name(a):
                 raise ValueError(f"invalid atom name {a!r}")
-        if self.n_states * len(self.atoms) > 48:
+        if n_states * len(atoms) > 48:
             raise ValueError("states x atoms too large to enumerate valuations")
-        if self.limit is not None and self.limit < 1:
+        if limit is not None and limit < 1:
             raise ValueError("limit must be positive")
+        values = self.__dict__
+        values["n_states"] = n_states
+        values["atoms"] = atoms
+        values["limit"] = limit
 
     def size_count(self, n: int) -> int:
         """Models with exactly n states under this spec."""
@@ -218,8 +220,7 @@ def enumerate_models(spec: EnumerationSpec) -> Iterator[ExpertiseModel]:
     return islice(_size_models(spec.n_states, spec.atoms), spec.limit)
 
 
-@dataclass(frozen=True)
-class SearchStats:
+class SearchStats(Record):
     """models_checked counts the models decided, in enumeration order: up
     to and including the witness, or up to the limit or the bound.
     models_evaluated counts the models the engine actually evaluated; the
@@ -232,9 +233,16 @@ class SearchStats:
     engine: str
     models_evaluated: int = 0
 
+    def __init__(self, models_checked, truncated, elapsed_s, engine, models_evaluated=0):
+        values = self.__dict__
+        values["models_checked"] = models_checked
+        values["truncated"] = truncated
+        values["elapsed_s"] = elapsed_s
+        values["engine"] = engine
+        values["models_evaluated"] = models_evaluated
 
-@dataclass(frozen=True)
-class Verdict:
+
+class Verdict(Record):
     """Outcome of a bounded search, with a re-verified witness if any.
 
     status is 'countermodel-found' or 'valid-up-to-bound'.  Construct through
@@ -249,6 +257,17 @@ class Verdict:
     stats: SearchStats
     witness_model: ExpertiseModel | None = None
     witness_state: str | None = None
+
+    def __init__(
+        self, status, formula, spec, stats, witness_model=None, witness_state=None
+    ):
+        values = self.__dict__
+        values["status"] = status
+        values["formula"] = formula
+        values["spec"] = spec
+        values["stats"] = stats
+        values["witness_model"] = witness_model
+        values["witness_state"] = witness_state
 
     @classmethod
     def found(cls, formula, spec, stats, model, state) -> "Verdict":

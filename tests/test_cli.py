@@ -237,6 +237,31 @@ class TestCorrespondence:
         assert doc["mismatch_state"] is None
         assert doc["translated"] == "A (r -> K r)"
 
+    def test_unknown_atom_warns_on_one_line_without_a_path(self):
+        # both sides of the comparison warn; the command prints it once
+        proc = subprocess.run(
+            [sys.executable, "-m", "expertlogic", "correspondence", ECONOMIST, "zz & p"],
+            env=CHILD_ENV,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr.splitlines() == [
+            "UnknownAtomWarning: atoms not in the valuation are treated as false: zz"
+        ]
+
+    def test_each_command_in_one_process_warns_once(self, capsys):
+        import warnings
+
+        before = warnings.showwarning
+        for _ in range(2):
+            code, _, err = run(capsys, "correspondence", ECONOMIST, "zz & p")
+            assert code == 0
+            assert err.splitlines() == [
+                "UnknownAtomWarning: atoms not in the valuation are treated as false: zz"
+            ]
+            assert warnings.showwarning is before
+
 
 class TestCountermodel:
     def test_distribution_formula_finds_a_witness(self, capsys):

@@ -2,9 +2,11 @@
 
 The pytest process may have numpy loaded by some other package, so every
 test here runs its program in a fresh interpreter.  No command imports
-numpy: the search kernel computes on Python ints.  Importing the kernel
-also keeps the pages a search frees mapped for the next search (kernels
-module docstring).
+numpy: the search kernel computes on Python ints.  No command imports
+dataclasses, and the commands that neither search nor check a proof
+leave the proof layer unloaded.  Importing the kernel also keeps the
+pages a search frees mapped for the next search (kernels module
+docstring).
 """
 
 import json
@@ -63,6 +65,44 @@ for argv in {COMMANDS!r}:
     assert len(runs) == len(COMMANDS)
     assert all(code in (0, 1) for _, code, _ in runs), runs
     assert not any(loaded for _, _, loaded in runs), runs
+
+
+# commands that neither search nor check a proof
+PROOF_FREE = {"translate", "eval", "extension", "to-s5", "correspondence"}
+
+# runs the package as __main__, as `python -m expertlogic` does, then
+# prints the exit code and the loaded modules as the last line of stdout
+RUN_AS_MAIN = """
+import json, runpy, sys
+try:
+    runpy.run_module("expertlogic", run_name="__main__", alter_sys=True)
+except SystemExit as e:
+    code = e.code
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv", COMMANDS, ids=[f"{argv[0]}-{i}" for i, argv in enumerate(COMMANDS)]
+)
+def test_what_a_command_loads(argv):
+    # -S: no .pth file in site-packages may load a module before the program
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", RUN_AS_MAIN, *argv],
+        env=CHILD_ENV,
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert code in (0, 1), proc.stderr
+    assert "expertlogic.cli" in modules
+    assert "dataclasses" not in modules
+    if argv[0] in PROOF_FREE:
+        assert "expertlogic.proofs" not in modules
+    elif argv[0] in ("check-proof", "soundness-sweep"):
+        assert "expertlogic.proofs" in modules
 
 
 def test_the_kernel_resolves_as_a_package_attribute():
