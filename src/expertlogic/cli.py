@@ -13,8 +13,11 @@ Subcommands::
     soundness-sweep                   search all axiom instantiations
 
 Formulas are single shell arguments in the concrete grammar; models and
-proofs come from files.  `--json` switches any subcommand to a stable JSON
-document (byte-identical across runs; wall-clock timings only with
+proofs come from files.  Each cmd_* function computes its answer once and
+returns (exit code, JSON document, text lines); main alone reads --json and
+prints either the document or the lines, so a command writes nothing to
+stdout until its answer is complete.  `--json` switches any subcommand to a
+stable JSON document (byte-identical across runs; wall-clock timings only with
 `--timings`).  Exit codes: 2 for any load/parse/usage error, 3 for any
 internal fault (a search witness that fails its re-check, or any other
 unexpected exception), 141 (128 + SIGPIPE) when the reader of stdout
@@ -43,6 +46,7 @@ from .formula import (
     to_knowledge_form,
 )
 from .model import (
+    braced,
     load_model,
     model_to_dict,
     relational_to_dict,
@@ -62,17 +66,12 @@ DEFAULT_BOUND = 4
 DEFAULT_ATOM_CAP = 3
 SWEEP_ATOMS = ("p", "q")
 
+# what each cmd_* returns: (exit code, JSON document, text lines)
+Answer = tuple[int, dict, list[str]]
+
 
 class UsageError(ValueError):
     pass
-
-
-def _dump(doc: dict) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
-
-
-def _braced(names) -> str:
-    return "{" + ", ".join(names) + "}"
 
 
 def _parse_atoms(text: str) -> tuple[str, ...]:
@@ -104,180 +103,142 @@ def _search_spec(args, *formulas) -> EnumerationSpec:
     return EnumerationSpec(args.max_states, atoms, args.limit)
 
 
-def cmd_eval(args) -> int:
+def _classes(model) -> list[list[str]]:
+    return [set_names(b, model.states) for b in model.partition.blocks]
+
+
+def cmd_eval(args) -> Answer:
     model = load_model(args.model)
     f = parse(args.formula)
     ext = extension(model, f, mode=args.mode)
     if args.state is not None:
         value = bool((ext >> model.state_index(args.state)) & 1)
-        if args.json:
-            _dump(
-                {
-                    "formula": render(f),
-                    "state": args.state,
-                    "value": value,
-                }
-            )
-        else:
-            print("true" if value else "false")
-        return 0 if value else 1
+        doc = {"formula": render(f), "state": args.state, "value": value}
+        return 0 if value else 1, doc, ["true" if value else "false"]
+    names = set_names(ext, model.states)
     globally = ext == model.full_mask
-    if args.json:
-        _dump(
-            {
-                "formula": render(f),
-                "extension": set_names(ext, model.states),
-                "globally_true": globally,
-            }
-        )
-    else:
-        print(f"extension: {_braced(set_names(ext, model.states))}")
-        print(f"globally true: {'yes' if globally else 'no'}")
-    return 0 if globally else 1
+    doc = {"formula": render(f), "extension": names, "globally_true": globally}
+    lines = [
+        f"extension: {braced(names)}",
+        f"globally true: {'yes' if globally else 'no'}",
+    ]
+    return 0 if globally else 1, doc, lines
 
 
-def cmd_extension(args) -> int:
+def cmd_extension(args) -> Answer:
     model = load_model(args.model)
     f = parse(args.formula)
-    ext = extension(model, f, mode=args.mode)
-    if args.json:
-        _dump({"formula": render(f), "extension": set_names(ext, model.states)})
-    else:
-        print(_braced(set_names(ext, model.states)))
-    return 0
+    names = set_names(extension(model, f, mode=args.mode), model.states)
+    return 0, {"formula": render(f), "extension": names}, [braced(names)]
 
 
-def cmd_translate(args) -> int:
+def cmd_translate(args) -> Answer:
     f = parse(args.formula)
     knowledge = render(to_knowledge_form(f))
     no_expertise = render(eliminate_expertise(f))
-    if args.json:
-        _dump(
-            {
-                "formula": render(f),
-                "knowledge_form": knowledge,
-                "expertise_eliminated": no_expertise,
-            }
-        )
-    else:
-        print(f"knowledge form:       {knowledge}")
-        print(f"expertise eliminated: {no_expertise}")
-    return 0
+    doc = {
+        "formula": render(f),
+        "knowledge_form": knowledge,
+        "expertise_eliminated": no_expertise,
+    }
+    lines = [
+        f"knowledge form:       {knowledge}",
+        f"expertise eliminated: {no_expertise}",
+    ]
+    return 0, doc, lines
 
 
-def cmd_to_s5(args) -> int:
+def cmd_to_s5(args) -> Answer:
     model = load_model(args.model)
-    rel = to_s5_model(model)
-    classes = [set_names(b, model.states) for b in model.partition.blocks]
-    if args.json:
-        doc = relational_to_dict(rel)
-        doc["classes"] = classes
-        _dump(doc)
-    else:
-        print(f"classes: {' '.join(map(_braced, classes))}")
-        print(f"relation: {len(rel.pairs())} pairs, equivalence: yes")
-        for atom, mask in rel.valuation:
-            print(f"valuation: {atom} = {_braced(set_names(mask, rel.states))}")
-    return 0
+    doc = relational_to_dict(to_s5_model(model))
+    doc["classes"] = _classes(model)
+    lines = [
+        f"classes: {' '.join(map(braced, doc['classes']))}",
+        f"relation: {len(doc['relation'])} pairs, equivalence: yes",
+        *(f"valuation: {a} = {braced(names)}" for a, names in doc["valuation"].items()),
+    ]
+    return 0, doc, lines
 
 
-def cmd_correspondence(args) -> int:
+def cmd_correspondence(args) -> Answer:
     model = load_model(args.model)
-    f = parse(args.formula)
-    report = check_correspondence(model, f)
-    classes = [set_names(b, model.states) for b in model.partition.blocks]
-    if args.json:
-        _dump(
-            {
-                "formula": render(report.formula),
-                "translated": render(report.translated),
-                "classes": classes,
-                "extension": set_names(report.source_extension, model.states),
-                "translated_extension": set_names(
-                    report.translated_extension, model.states
-                ),
-                "agrees": report.agrees,
-                "mismatch_state": report.mismatch_state,
-            }
-        )
+    report = check_correspondence(model, parse(args.formula))
+    doc = {
+        "formula": render(report.formula),
+        "translated": render(report.translated),
+        "classes": _classes(model),
+        "extension": set_names(report.source_extension, model.states),
+        "translated_extension": set_names(report.translated_extension, model.states),
+        "agrees": report.agrees,
+        "mismatch_state": report.mismatch_state,
+    }
+    lines = [
+        f"translation: {doc['translated']}",
+        f"classes: {' '.join(map(braced, doc['classes']))}",
+    ]
+    for i, state in enumerate(model.states):
+        left = bool((report.source_extension >> i) & 1)
+        right = bool((report.translated_extension >> i) & 1)
+        lines.append(f"  {state}: {str(left).lower()} / {str(right).lower()}")
+    if report.agrees:
+        lines.append(f"agree at all {model.n} states")
     else:
-        print(f"translation: {render(report.translated)}")
-        print(f"classes: {' '.join(map(_braced, classes))}")
-        for i, state in enumerate(model.states):
-            left = bool((report.source_extension >> i) & 1)
-            right = bool((report.translated_extension >> i) & 1)
-            print(f"  {state}: {str(left).lower()} / {str(right).lower()}")
-        if report.agrees:
-            print(f"agree at all {model.n} states")
-        else:
-            print(f"MISMATCH at state {report.mismatch_state}")
-    return 0 if report.agrees else 1
+        lines.append(f"MISMATCH at state {report.mismatch_state}")
+    return 0 if report.agrees else 1, doc, lines
 
 
-def _print_witness(model, state) -> None:
-    doc = model_to_dict(model)
-    print(f"  states:    {' '.join(doc['states'])}")
-    print(f"  partition: {' '.join(map(_braced, doc['partition']))}")
-    for atom, names in sorted(doc["valuation"].items()):
-        print(f"  valuation: {atom} = {_braced(names)}")
-    print(f"  falsified at: {state}")
+def _witness_lines(verdict) -> list[str]:
+    """The verdict's countermodel, indented; no lines when it has none."""
+    if verdict.witness_model is None:
+        return []
+    doc = model_to_dict(verdict.witness_model)
+    valuation = sorted(doc["valuation"].items())
+    return [
+        f"  states:    {' '.join(doc['states'])}",
+        f"  partition: {' '.join(map(braced, doc['partition']))}",
+        *(f"  valuation: {atom} = {braced(names)}" for atom, names in valuation),
+        f"  falsified at: {verdict.witness_state}",
+    ]
 
 
-def cmd_countermodel(args) -> int:
+def cmd_countermodel(args) -> Answer:
     f = parse(args.formula)
-    spec = _search_spec(args, f)
-    verdict = find_countermodel(f, spec, args.engine)
-    if args.json:
-        _dump(verdict.to_report(include_timing=args.timings))
-    else:
-        print(verdict.summary())
-        if verdict.witness_model is not None:
-            _print_witness(verdict.witness_model, verdict.witness_state)
-    return 1 if verdict.status == "countermodel-found" else 0
+    verdict = find_countermodel(f, _search_spec(args, f), args.engine)
+    doc = verdict.to_report(include_timing=args.timings)
+    code = 1 if verdict.status == "countermodel-found" else 0
+    return code, doc, [verdict.summary(), *_witness_lines(verdict)]
 
 
-def cmd_equiv(args) -> int:
+def cmd_equiv(args) -> Answer:
     left = parse(args.left)
     right = parse(args.right)
     spec = _search_spec(args, left, right)
     verdict = check_equivalence(left, right, spec, args.engine)
-    if args.json:
-        doc = verdict.to_report(include_timing=args.timings)
-        doc["left"] = render(left)
-        doc["right"] = render(right)
-        doc["equivalent_up_to_bound"] = verdict.status == "valid-up-to-bound"
-        _dump(doc)
-    else:
-        if verdict.status == "valid-up-to-bound":
-            print(f"equivalent up to bound: {verdict.summary()}")
-        else:
-            print(f"not equivalent: {verdict.summary()}")
-            _print_witness(verdict.witness_model, verdict.witness_state)
-    return 0 if verdict.status == "valid-up-to-bound" else 1
+    equivalent = verdict.status == "valid-up-to-bound"
+    doc = verdict.to_report(include_timing=args.timings)
+    doc["left"] = render(left)
+    doc["right"] = render(right)
+    doc["equivalent_up_to_bound"] = equivalent
+    head = "equivalent up to bound" if equivalent else "not equivalent"
+    lines = [f"{head}: {verdict.summary()}", *_witness_lines(verdict)]
+    return 0 if equivalent else 1, doc, lines
 
 
-def cmd_check_proof(args) -> int:
+def cmd_check_proof(args) -> Answer:
     from .proofs import check_derivation, load_derivation
 
     derivation = load_derivation(args.proof)
     verdict = check_derivation(derivation)
-    if args.json:
-        doc = {"ok": verdict.ok, "steps": len(derivation.steps)}
-        if verdict.ok:
-            doc["theorem"] = render(derivation.theorem)
-        else:
-            doc["step"] = verdict.step
-            doc["reason"] = verdict.reason
-        _dump(doc)
-    else:
-        if verdict.ok:
-            print(f"ok: {render(derivation.theorem)} ({len(derivation.steps)} steps)")
-        else:
-            print(str(verdict))
-    return 0 if verdict.ok else 1
+    doc = {"ok": verdict.ok, "steps": len(derivation.steps)}
+    if verdict.ok:
+        doc["theorem"] = render(derivation.theorem)
+        return 0, doc, [f"ok: {doc['theorem']} ({doc['steps']} steps)"]
+    doc["step"] = verdict.step
+    doc["reason"] = verdict.reason
+    return 1, doc, [str(verdict)]
 
 
-def cmd_soundness_sweep(args) -> int:
+def cmd_soundness_sweep(args) -> Answer:
     from .proofs import E_DISTRIBUTION, SCHEMAS, soundness_sweep
 
     if args.schemas is not None:
@@ -296,21 +257,18 @@ def cmd_soundness_sweep(args) -> int:
     atoms = _atoms_option(args) or SWEEP_ATOMS
     spec = EnumerationSpec(args.max_states, atoms, args.limit)
     report = soundness_sweep(chosen, corpus_formulas(), spec, args.engine)
-    if args.json:
-        _dump(report.to_report(include_timing=args.timings))
-    else:
-        print(
-            f"checked {report.instances_checked} instances of "
-            f"{len(report.schemas)} schemas over {len(report.corpus)} corpus "
-            f"formulas (bound: {spec.n_states} states, atoms {_braced(spec.atoms)})"
-        )
-        if report.ok:
-            print("no violations")
-        else:
-            for v in report.violations:
-                subst = ", ".join(f"{k} = {render(g)}" for k, g in v.substitution)
-                print(f"VIOLATION {v.schema} [{subst}]: {render(v.verdict.formula)}")
-    return 0 if report.ok else 1
+    lines = [
+        f"checked {report.instances_checked} instances of "
+        f"{len(report.schemas)} schemas over {len(report.corpus)} corpus "
+        f"formulas (bound: {spec.n_states} states, atoms {braced(spec.atoms)})"
+    ]
+    for v in report.violations:
+        subst = ", ".join(f"{k} = {render(g)}" for k, g in v.substitution)
+        lines.append(f"VIOLATION {v.schema} [{subst}]: {render(v.verdict.formula)}")
+    if report.ok:
+        lines.append("no violations")
+    doc = report.to_report(include_timing=args.timings)
+    return 0 if report.ok else 1, doc, lines
 
 
 def _add_search_flags(p, atoms_default: str) -> None:
@@ -436,7 +394,11 @@ def main(argv=None) -> int:
     with warnings.catch_warnings():
         warnings.showwarning = show_warning
         try:
-            code = args.func(args)
+            code, doc, lines = args.func(args)
+            if args.json:
+                print(json.dumps(doc, indent=2, sort_keys=True))
+            else:
+                print("\n".join(lines))
             # a closed pipe shows at the flush when stdout is buffered
             sys.stdout.flush()
             return code

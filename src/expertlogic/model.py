@@ -48,13 +48,13 @@ class LawViolation(Record):
     missing: Mask  # the set the law demands but the family lacks
 
     def describe(self, states: tuple[str, ...]) -> str:
-        missing = set_names(self.missing, states)
+        missing = braced(set_names(self.missing, states))
+        members = [braced(set_names(m, states)) for m in self.members]
         if self.law == "whole-set":
             return f"family lacks the whole state space {missing}"
         if self.law == "complements":
-            member = set_names(self.members[0], states)
-            return f"family lacks the complement {missing} of member {member}"
-        a, b = (set_names(m, states) for m in self.members)
+            return f"family lacks the complement {missing} of member {members[0]}"
+        a, b = members
         return f"family lacks the intersection {missing} of members {a} and {b}"
 
 
@@ -79,6 +79,11 @@ class RelationError(ValueError):
 
 def set_names(mask: Mask, states: tuple[str, ...]) -> list[str]:
     return [states[i] for i in range(len(states)) if (mask >> i) & 1]
+
+
+def braced(names: Iterable[str]) -> str:
+    """A set of names as every message spells it: {a, b}, and {} when empty."""
+    return "{" + ", ".join(names) + "}"
 
 
 def mask_of(names: Iterable[str], states: tuple[str, ...]) -> Mask:

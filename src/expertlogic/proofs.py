@@ -234,6 +234,11 @@ class DerivationVerdict(Record):
         return "ok" if self.ok else f"bad step {self.step}: {self.reason}"
 
 
+class _BadReference(Exception):
+    """A rule cites a step that does not come before it; the message is
+    the step's reason."""
+
+
 def check_derivation(derivation: Derivation) -> DerivationVerdict:
     """First unjustified step, if any.
 
@@ -243,15 +248,18 @@ def check_derivation(derivation: Derivation) -> DerivationVerdict:
     """
     steps = derivation.steps
     for k, step in enumerate(steps, start=1):
-        reason = _check_step(steps, k, step)
+        try:
+            reason = _check_step(steps, k, step)
+        except _BadReference as e:
+            reason = str(e)
         if reason is not None:
             return DerivationVerdict(False, k, reason)
     return DerivationVerdict(True)
 
 
-def _earlier(steps, k: int, i: int) -> Formula | str:
+def _earlier(steps, k: int, i: int) -> Formula:
     if not 1 <= i < k:
-        return f"reference to step {i}, which does not precede step {k}"
+        raise _BadReference(f"reference to step {i}, which does not precede step {k}")
     return steps[i - 1].formula
 
 
@@ -279,11 +287,7 @@ def _check_step(steps, k: int, step: Step) -> str | None:
         return None
     if isinstance(j, MP):
         premise = _earlier(steps, k, j.premise)
-        if isinstance(premise, str):
-            return premise
         implication = _earlier(steps, k, j.implication)
-        if isinstance(implication, str):
-            return implication
         if implication != Imp(premise, f):
             return (
                 f"step {j.implication} is not the implication "
@@ -292,15 +296,11 @@ def _check_step(steps, k: int, step: Step) -> str | None:
         return None
     if isinstance(j, NecA):
         premise = _earlier(steps, k, j.premise)
-        if isinstance(premise, str):
-            return premise
         if f != ModalA(premise):
             return f"formula is not A applied to step {j.premise}"
         return None
     if isinstance(j, RS):
         premise = _earlier(steps, k, j.premise)
-        if isinstance(premise, str):
-            return premise
         pair = split_iff(premise)
         if pair is None:
             return f"step {j.premise} is not a biconditional"

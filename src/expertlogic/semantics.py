@@ -12,8 +12,10 @@ default ('fast') works on the partition: the states reachable by S f are
 the block-closure of ||f|| (union of blocks meeting it), and E f asks that
 ||f|| be block-closed.  The 'literal' path materialises the full collection
 (2^blocks sets, so at most 20 blocks) and applies the clauses above word
-for word.  The fast path is what the search kernels use; the literal path
-is the authority the test suite and Verdict self-checks compare against.
+for word.  The fast path serves eval, extension and correspondence and the
+python search engine; the bitslice engine has its own E and S clauses in
+kernels.eval_chunk.  The literal path is the authority the test suite and
+Verdict self-checks compare against.
 
 Both model kinds share one loop, _evaluate, which takes the E and S (or
 K) clauses from its caller.  It makes one pass over the formula's

@@ -62,7 +62,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import kernels
 from .formula import Formula, Iff, Record, is_atom_name, parse, render
-from .model import ExpertiseModel, Mask, Partition, model_to_dict
+from .model import ExpertiseModel, Mask, Partition, braced, model_to_dict
 from .semantics import extension, holds
 
 ENGINES = ("bitslice", "python")
@@ -283,7 +283,7 @@ class Verdict(Record):
 
     def summary(self) -> str:
         """One-line verdict; the wording of the bounded case is fixed."""
-        atoms = "{" + ", ".join(self.spec.atoms) + "}"
+        atoms = braced(self.spec.atoms)
         checked = (
             f"checked {self.stats.models_checked} of "
             f"{self.spec.total_count()} models"

@@ -1,9 +1,11 @@
 """Command-line contract: outputs, exit codes, JSON stability."""
 
 import contextlib
+import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -175,6 +177,34 @@ class TestExtension:
         code, out, err = run(capsys, "extension", str(path), "T")
         assert (code, out) == (2, "")
         assert err == "error: partition must cover exactly the state space\n"
+
+    @pytest.mark.parametrize(
+        "states, family, message",
+        [
+            (["a", "b"], [], "family lacks the whole state space {a, b}"),
+            (["a", "b"], [["a", "b"]], "family lacks the complement {} of member {a, b}"),
+            (
+                ["a", "b", "c"],
+                [[], ["a"], ["c"], ["a", "b"], ["b", "c"], ["a", "b", "c"]],
+                "family lacks the intersection {b} of members {a, b} and {b, c}",
+            ),
+            (
+                ["a", "b"],
+                [["a"]],
+                "family lacks the whole state space {a, b}; "
+                "family lacks the complement {b} of member {a}",
+            ),
+        ],
+        ids=["whole-set", "complements", "intersections", "two-laws"],
+    )
+    def test_illegal_expertise_collection_names_braced_sets(
+        self, capsys, tmp_path, states, family, message
+    ):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"states": states, "expertise": family}))
+        code, out, err = run(capsys, "eval", str(path), "p")
+        assert (code, out) == (2, "")
+        assert err == f"error: not a legal expertise collection: {message}\n"
 
     @pytest.mark.parametrize("argv", [("eval", "p"), ("check-proof",)])
     def test_a_file_that_is_not_utf8_is_named(self, capsys, tmp_path, argv):
@@ -453,6 +483,15 @@ class TestCheckProof:
         assert code == 2
         assert "error: no steps" in err
 
+    def test_a_tautology_past_the_letter_cap_is_an_error_not_a_bad_step(
+        self, capsys, tmp_path
+    ):
+        path = tmp_path / "wide.prf"
+        path.write_text("1. " + " | ".join(f"a{i}" for i in range(21)) + " ; taut\n")
+        code, out, err = run(capsys, "check-proof", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "21 distinct letters" in err, err
+
     def test_json_verdicts(self, capsys, tmp_path):
         code, out, _ = run(capsys, "check-proof", NEC_SHAT, "--json")
         assert code == 0
@@ -593,6 +632,19 @@ class TestEntryPoint:
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (141, "")
+
+    def test_installed_script_target_runs_a_command(self, capsys):
+        # pyproject.toml's [project.scripts] line, read without tomllib
+        # (Python 3.10 has none)
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        target = re.search(r'^expertlogic = "([\w.]+):(\w+)"$', text, re.M)
+        assert target is not None, "no expertlogic entry point in pyproject.toml"
+        module, name = target.groups()
+        entry = getattr(importlib.import_module(module), name)
+        assert entry(["translate", "E p"]) == 0
+        assert capsys.readouterr().out == (
+            "knowledge form:       A (p -> K p)\nexpertise eliminated: A (S p -> p)\n"
+        )
 
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -86,8 +86,8 @@ def _extension_at(rows, t):
     return sum((r >> t & 1) << i for i, r in enumerate(rows))
 
 
-def _run(prog, n, ends, start, w):
-    planes = atom_planes(n, len(prog.atom_order), start, w)
+def _run(prog, n, k, ends, start, w):
+    planes = atom_planes(n, k, start, w)
     return eval_chunk(prog, planes, ends)
 
 
@@ -101,7 +101,6 @@ class TestCompile:
             (OP_NOT, 2, 2),
             (OP_AND, 1, 3),
         )
-        assert prog.atom_order == ("p", "q")
 
     def test_atom_columns_follow_given_order(self):
         prog = compile_program(parse("q & p"), ("q", "p"))
@@ -115,7 +114,7 @@ class TestCompile:
         prog = compile_program(parse("T"), ("p",))
         assert prog.ops == ((OP_ATOM, -1, -1),)
         for ends in ((1, 2), (2,)):
-            assert _run(prog, 2, ends, 0, 2) == [0b1111]
+            assert _run(prog, 2, 1, ends, 0, 2) == [0b1111]
 
     def test_repeated_subformulas_compile_once(self):
         # p, q, p & q, q & (p & q), and the whole: the inner p and q reuse
@@ -193,7 +192,7 @@ class TestShapes:
 
     @staticmethod
     def _rows(text):
-        return _run(compile_program(parse(text), ("p", "q")), 4, (2, 4), 0, 8)
+        return _run(compile_program(parse(text), ("p", "q")), 4, 2, (2, 4), 0, 8)
 
     @pytest.mark.parametrize("text", ["E p", "A (S p -> p)", "S A p"])
     def test_a_root_the_same_at_every_state_is_one_row(self, text):
@@ -257,7 +256,7 @@ class TestAgainstSemantics:
                 models = [_model(n, ends, atoms, start + t) for t in range(1 << w)]
                 for text in BATTERY:
                     f = parse(text)
-                    rows = _run(compile_program(f, atoms), n, ends, start, w)
+                    rows = _run(compile_program(f, atoms), n, len(atoms), ends, start, w)
                     assert len(rows) in (1, n)
                     for t, model in enumerate(models):
                         assert _extension_at(rows, t) & model.full_mask == extension(
@@ -267,7 +266,7 @@ class TestAgainstSemantics:
     def test_repeated_runs_are_identical(self):
         prog = compile_program(parse("E (p -> q) -> E p -> E q"), ("p", "q"))
         for ends in ((2, 3), (1, 2, 3)):
-            assert _run(prog, 3, ends, 0, 6) == _run(prog, 3, ends, 0, 6)
+            assert _run(prog, 3, 2, ends, 0, 6) == _run(prog, 3, 2, ends, 0, 6)
 
 
 ATOMS = ("p", "q", "r")
@@ -292,7 +291,7 @@ def test_eval_chunk_matches_both_evaluators(f, window):
     """Bit for bit against the literal clauses and against the knowledge
     form on the induced relational model."""
     n, ends, start, w, offsets = window
-    rows = _run(compile_program(f, ATOMS), n, ends, start, w)
+    rows = _run(compile_program(f, ATOMS), n, len(ATOMS), ends, start, w)
     assert len(rows) in (1, n)
     assert all(0 <= r < 1 << (1 << w) for r in rows)
     knowledge = to_knowledge_form(f)

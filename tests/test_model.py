@@ -270,6 +270,18 @@ class TestJson:
         with pytest.raises(ModelFormatError):
             model_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([], "model document must be a JSON object"),
+            ({"states": [""], "partition": [[""]]}, "state names must be nonempty strings"),
+        ],
+    )
+    def test_malformed_document_wording(self, doc, message):
+        with pytest.raises(ModelFormatError) as exc:
+            model_from_dict(doc)
+        assert str(exc.value) == message
+
     def test_dict_round_trip(self):
         model = model_from_dict(self.ECONOMIST)
         assert model_from_dict(model_to_dict(model)) == model

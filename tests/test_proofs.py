@@ -244,6 +244,40 @@ class TestCheckDerivation:
         verdict = check_derivation(d)
         assert verdict.step == 3 and "not the implication" in verdict.reason
 
+    @pytest.mark.parametrize(
+        "steps, expected",
+        [
+            (
+                ((parse("p -> p"), Taut()), (parse("p"), MP(3, 1))),
+                "bad step 2: reference to step 3, which does not precede step 2",
+            ),
+            (
+                ((parse("p -> p"), Taut()), (parse("q -> q"), Taut()), (parse("q"), MP(1, 3))),
+                "bad step 3: reference to step 3, which does not precede step 3",
+            ),
+            (
+                ((parse("S p <-> S p"), RS(2)), (parse("p <-> p"), Taut())),
+                "bad step 1: reference to step 2, which does not precede step 1",
+            ),
+            (
+                ((parse("p <-> p"), Taut()), (parse("A p <-> A p"), RS(1))),
+                "bad step 2: formula is not S applied to both sides of step 1",
+            ),
+            (
+                ((parse("E p <-> A (S p -> p)"), Axiom("ES", (("psi", parse("p")),))),),
+                "bad step 1: no substitution for metavariable phi",
+            ),
+            (
+                ((parse("p -> p"), "lemma"),),
+                "bad step 1: unsupported justification 'lemma'",
+            ),
+        ],
+        ids=["mp-premise", "mp-implication", "rs-forward", "rs-shape", "axiom-meta", "other"],
+    )
+    def test_rejection_wording(self, steps, expected):
+        d = Derivation(tuple(Step(f, j) for f, j in steps))
+        assert str(check_derivation(d)) == expected
+
     def test_verdict_string_forms(self):
         good = check_derivation(
             Derivation((Step(parse("p -> p"), Taut()),))

@@ -73,7 +73,7 @@ CASES = [
         },
         {},
     ),
-    (Program, {"ops": ((0, 0, 0),), "atom_order": ("p",), "frees": ((),), "negated": (False,)}, {}),
+    (Program, {"ops": ((0, 0, 0),), "frees": ((),), "negated": (False,)}, {}),
     (EnumerationSpec, {"n_states": 3, "atoms": ("p", "q"), "limit": 10}, {"limit": None}),
     (
         SearchStats,
@@ -262,3 +262,27 @@ def test_checking_constructors_still_check():
         ("p", 2),
         ("q", 1),
     )
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: ExpertiseModel(STATES, PARTITION, (("p", 1), ("p", 2))),
+            "duplicate atom 'p' in valuation",
+        ),
+        (
+            lambda: ExpertiseModel(STATES, PARTITION, (("p", 8),)),
+            "valuation of 'p' goes outside the state space",
+        ),
+        (
+            lambda: RelationalModel(STATES, (1, 6, 14)),
+            "successor sets go outside the state space",
+        ),
+    ],
+    ids=["duplicate-atom", "valuation-outside", "successors-outside"],
+)
+def test_checking_constructors_name_the_fault(build, message):
+    with pytest.raises(ModelFormatError) as exc:
+        build()
+    assert str(exc.value) == message
