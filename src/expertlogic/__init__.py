@@ -80,6 +80,7 @@ _EXPORTS = {
         "corpus_formulas",
         "enumerate_models",
         "find_countermodel",
+        "find_countermodels",
     ),
     "proofs": (
         "AxiomSchema",

@@ -65,6 +65,7 @@ from .validity import (
 DEFAULT_BOUND = 4
 DEFAULT_ATOM_CAP = 3
 SWEEP_ATOMS = ("p", "q")
+SEARCH_EVALUATED = "the count of models evaluated in reports"
 
 # what each cmd_* returns: (exit code, JSON document, text lines)
 Answer = tuple[int, dict, list[str]]
@@ -255,23 +256,31 @@ def cmd_soundness_sweep(args) -> Answer:
     if args.with_e_distribution and E_DISTRIBUTION not in chosen:
         chosen.append(E_DISTRIBUTION)
     atoms = _atoms_option(args) or SWEEP_ATOMS
+    corpus = corpus_formulas()
+    missing = set().union(*map(atom_names, corpus)).difference(atoms)
+    if missing:
+        names = ", ".join(sorted(missing))
+        raise UsageError(f"--atoms {args.atoms!r} leaves out corpus atoms: {names}")
     spec = EnumerationSpec(args.max_states, atoms, args.limit)
-    report = soundness_sweep(chosen, corpus_formulas(), spec, args.engine)
+    report = soundness_sweep(chosen, corpus, spec, args.engine)
+    doc = report.to_report(include_timing=args.timings)
     lines = [
         f"checked {report.instances_checked} instances of "
         f"{len(report.schemas)} schemas over {len(report.corpus)} corpus "
         f"formulas (bound: {spec.n_states} states, atoms {braced(spec.atoms)})"
     ]
-    for v in report.violations:
-        subst = ", ".join(f"{k} = {render(g)}" for k, g in v.substitution)
-        lines.append(f"VIOLATION {v.schema} [{subst}]: {render(v.verdict.formula)}")
+    # the report's rendered formulas, so each is rendered once
+    for v in doc["violations"]:
+        subst = ", ".join(f"{k} = {g}" for k, g in v["substitution"].items())
+        lines.append(f"VIOLATION {v['schema']} [{subst}]: {v['instance']}")
     if report.ok:
         lines.append("no violations")
-    doc = report.to_report(include_timing=args.timings)
     return 0 if report.ok else 1, doc, lines
 
 
-def _add_search_flags(p, atoms_default: str) -> None:
+def _add_search_flags(p, atoms_help: str, evaluated_help: str) -> None:
+    """The bound, engine and report flags; the caller says what --atoms
+    defaults to and what --timings counts as evaluated."""
     p.add_argument(
         "--max-states",
         type=int,
@@ -282,7 +291,7 @@ def _add_search_flags(p, atoms_default: str) -> None:
     p.add_argument(
         "--atoms",
         metavar="LIST",
-        help=f"comma-separated valuation atoms (default: {atoms_default})",
+        help=f"comma-separated valuation atoms {atoms_help}",
     )
     p.add_argument(
         "--limit",
@@ -299,8 +308,8 @@ def _add_search_flags(p, atoms_default: str) -> None:
     p.add_argument(
         "--timings",
         action="store_true",
-        help="include wall-clock seconds and the count of models evaluated in "
-        "reports (breaks byte-stability)",
+        help=f"include wall-clock seconds and {evaluated_help} (breaks "
+        "byte-stability)",
     )
 
 
@@ -342,13 +351,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("countermodel", help="bounded countermodel search")
     p.add_argument("formula")
-    _add_search_flags(p, "the formula's atoms")
+    _add_search_flags(p, "(default: the formula's atoms)", SEARCH_EVALUATED)
     p.set_defaults(func=cmd_countermodel)
 
     p = sub.add_parser("equiv", help="bounded equivalence check")
     p.add_argument("left")
     p.add_argument("right")
-    _add_search_flags(p, "the atoms of both formulas")
+    _add_search_flags(p, "(default: the atoms of both formulas)", SEARCH_EVALUATED)
     p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("check-proof", help="verify a derivation file")
@@ -369,7 +378,14 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also sweep the deliberately invalid distribution schema",
     )
-    _add_search_flags(p, ",".join(SWEEP_ATOMS))
+    _add_search_flags(
+        p,
+        f"(default: {','.join(SWEEP_ATOMS)}); the list must include the corpus "
+        f"atoms {' and '.join(SWEEP_ATOMS)}",
+        "the count of models evaluated in the report: the codes of each "
+        "window the kernel evaluates, once per walk (a walk per schema, or per "
+        "instance with --engine python)",
+    )
     p.set_defaults(func=cmd_soundness_sweep)
 
     for p in sub.choices.values():

@@ -223,23 +223,25 @@ _MODAL_LETTER = {t: letter for letter, t in _OPERATOR_LETTERS.items()}
 _MODAL_TYPES = tuple(_MODAL_LETTER)
 
 
-def subformulas(f: Formula):
-    """Yield each distinct node of f once, children before parents and left
-    before right (the order in which a post-order walk first finishes them).
+def subformulas(*roots: Formula):
+    """Yield each distinct node of the roots once, children before parents
+    and left before right (the order in which a post-order walk of the
+    roots, one after the other, first finishes them).
     """
     done: set[Formula] = set()
-    stack: list[Formula | None] = [f]
-    while stack:
-        g = stack.pop()
-        if g is None:  # the node below it has all its children done
+    for f in roots:
+        stack: list[Formula | None] = [f]
+        while stack:
             g = stack.pop()
-            done.add(g)
-            yield g
-        elif g not in done:
-            stack += (g, None)
-            for c in reversed(g.children):
-                if c not in done:
-                    stack.append(c)
+            if g is None:  # the node below it has all its children done
+                g = stack.pop()
+                done.add(g)
+                yield g
+            elif g not in done:
+                stack += (g, None)
+                for c in reversed(g.children):
+                    if c not in done:
+                        stack.append(c)
 
 
 def rebuild(f: Formula, rules: dict) -> Formula:

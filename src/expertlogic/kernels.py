@@ -1,12 +1,22 @@
 """Bit-sliced evaluation kernel for the bounded search.
 
-A formula is compiled once into a program: one op per distinct
-subformula, in formula.subformulas order (children first), so a
-subformula that recurs is evaluated once.  Op t writes slot t and reads
-its operands from earlier slots by index; the last slot holds the
-formula's extension.  compile_program also records, for each op, the
-slots it is the last reader of, and eval_chunk drops those slots after
-the op, so only the live part of the program holds memory.
+One or more formulas are compiled together into a program: one op per
+distinct subformula across all of them, in formula.subformulas order
+(children first), so a subformula that recurs, in one formula or in
+several, is evaluated once.  Op t writes slot t and reads its operands
+from earlier slots by index; each formula's root is the slot of its
+whole, recorded in Program.roots.  compile_program also records, for
+each op, the slots it is the last reader of (a root that no op reads is
+its own last reader), and eval_chunk drops those slots after the op, so
+only the live part of the program holds memory.
+
+eval_chunk runs the ops up to each root in turn (Program.stops, the
+distinct roots in slot order) and reduces that root there, before its
+slot can be freed.  A root that holds at every state of every model of
+the window comes back as None and keeps no rows; only a root that fails
+somewhere in the window comes back with its rows.  So the many formulas
+of one call cost one pass over the window's ops and memory for the live
+slots only, not a window of rows per formula.
 
 The layout is bit-sliced (Biham, "A fast new DES implementation in
 software", FSE 1997): each bit of a word belongs to a different model,
@@ -114,34 +124,40 @@ bytes(8 << 20)
 
 
 class Program(Record):
-    """One formula as (opcode, a, b) ops over the atom columns it was
+    """Formulas as (opcode, a, b) ops over the atom columns they were
     compiled for.
 
-    negated[t] is op t's polarity: whether slot t holds the complement of
-    op t's value.  frees[t] lists the slots whose last reader is op t; the
-    root's slot is never freed.
+    roots[i] is the slot of formula i (formulas that are equal share one),
+    and stops the distinct root slots in ascending order.  negated[t] is
+    op t's polarity: whether slot t holds the complement of op t's value.
+    frees[t] lists the slots whose last reader is op t, a root that no op
+    reads among them at its own op.
     """
 
     ops: tuple[tuple[int, int, int], ...]
     frees: tuple[tuple[int, ...], ...]
     negated: tuple[bool, ...]
+    roots: tuple[int, ...]
+    stops: tuple[int, ...]
 
-    def __init__(self, ops, frees, negated):
+    def __init__(self, ops, frees, negated, roots, stops):
         values = self.__dict__
         values["ops"] = ops
         values["frees"] = frees
         values["negated"] = negated
+        values["roots"] = roots
+        values["stops"] = stops
 
 
-def compile_program(f: Formula, atom_order) -> Program:
-    """One op per distinct node of a K-free formula, over the given atom
-    columns.
+def compile_program(formulas, atom_order) -> Program:
+    """One op per distinct node of K-free formulas, over the given atom
+    columns, with one root per formula, in the order given.
 
     This is the bounded search's input check.  A node outside E/S/A (K,
     or a proof metavariable) is rejected as soon as the walk meets it;
-    atoms outside `atom_order` are rejected after the walk, all of them,
-    sorted.  The constant T needs no column: it compiles to an atom op
-    reading column -1, the whole window.
+    atoms outside `atom_order` are rejected after the walk, all of them
+    across the formulas, sorted.  The constant T needs no column: it
+    compiles to an atom op reading column -1, the whole window.
     """
     index = {a: i for i, a in enumerate(atom_order)}
     slot: dict[Formula, int] = {}
@@ -149,28 +165,29 @@ def compile_program(f: Formula, atom_order) -> Program:
     negated: list[bool] = []
     last_reader: dict[int, int] = {}
     loose: set[str] = set()
-    for g in subformulas(f):
+    for t, g in enumerate(subformulas(*formulas)):
         kind = type(g)
-        if kind is Atom:
-            column = index.get(g.name, -1)
-            if column < 0:
-                loose.add(g.name)
-            op, neg = (OP_ATOM, column, column), False
-        elif kind is Top:
-            op, neg = (OP_ATOM, -1, -1), False
-        elif kind in _OPCODE:
+        code = _OPCODE.get(kind)
+        if code is not None:
             a, b = slot[g.children[0]], slot[g.children[-1]]
-            last_reader[a] = last_reader[b] = len(ops)
-            op = (_OPCODE[kind], a, b)
+            last_reader[a] = last_reader[b] = t
+            op = (code, a, b)
             # ~ flips its operand's polarity, E is never negated, and &, S
             # and A are negated iff every operand is
             if kind is Not:
                 neg = not negated[a]
             else:
                 neg = kind is not ModalE and negated[a] and negated[b]
+        elif kind is Atom:
+            column = index.get(g.name, -1)
+            if column < 0:
+                loose.add(g.name)
+            op, neg = (OP_ATOM, column, column), False
+        elif kind is Top:
+            op, neg = (OP_ATOM, -1, -1), False
         else:
             raise ValueError("bounded search covers only E/S/A formulas")
-        slot[g] = len(ops)
+        slot[g] = t
         ops.append(op)
         negated.append(neg)
     if loose:
@@ -178,6 +195,9 @@ def compile_program(f: Formula, atom_order) -> Program:
             "formula mentions atoms outside the search valuations: "
             + ", ".join(sorted(loose))
         )
+    roots = tuple(map(slot.__getitem__, formulas))
+    for r in roots:
+        last_reader.setdefault(r, r)
     frees: list[tuple[int, ...]] = [()] * len(ops)
     for s, t in last_reader.items():
         frees[t] += (s,)
@@ -185,6 +205,8 @@ def compile_program(f: Formula, atom_order) -> Program:
         ops=tuple(ops),
         frees=tuple(frees),
         negated=tuple(negated),
+        roots=roots,
+        stops=tuple(sorted(set(roots))),
     )
 
 
@@ -216,66 +238,94 @@ def atom_planes(n: int, k: int, start: int, w: int) -> list[int]:
     return [*low[:-1], *high, full]
 
 
-def eval_chunk(program: Program, planes: list[int], ends) -> list[int]:
-    """The root's rows over one window: planes from atom_planes, ends the
+def eval_chunk(program: Program, planes: list[int], ends) -> list:
+    """Each root's rows over one window, in root order: None for a root
+    that holds at every state of every model in the window, else one int
+    per state, or a single row that stands for every state when the root
+    is held as one int.  planes come from atom_planes, ends are the
     partition's block ends (state i is in the block that ends first past
-    i).  A root held per state or per block comes back as one int per
-    state; a root held as one int as a single row that stands for every
-    state."""
+    i)."""
     n = ends[-1]
     full = planes[-1]
     spans = list(zip([0, *ends], ends))
     blocks = len(spans)
     negated = program.negated
-    slots: list = [None] * len(program.ops)
-    for t, (op, a, b) in enumerate(program.ops):
-        if op == OP_ATOM:
-            slots[t] = full if a < 0 else planes[a * n : a * n + n]
-            continue
-        x = slots[a]
-        if op == OP_NOT:
-            ext = x
-        elif op == OP_AND:
-            y = slots[b]
-            if negated[a] == negated[b]:
-                f = or_ if negated[a] else and_
+    ops = program.ops
+    frees = program.frees
+    slots: list = [None] * len(ops)
+    reduced = []
+    done = 0
+    # every op up to the next root, then that root, reduced before its
+    # slot can be freed
+    for root in program.stops:
+        for t in range(done, root + 1):
+            op, a, b = ops[t]
+            if op == OP_ATOM:
+                # an atom reads no slot, and its rows are the planes' own
+                # ints, so an atom root that no op reads may keep them
+                slots[t] = ext = full if a < 0 else planes[a * n : a * n + n]
+                continue
+            x = slots[a]
+            if op == OP_NOT:
+                ext = x
+            elif op == OP_AND:
+                y = slots[b]
+                if negated[a] == negated[b]:
+                    f = or_ if negated[a] else and_
+                else:
+                    f = _and_not
+                    if negated[a]:
+                        x, y = y, x
+                if type(x) is int and type(y) is int:
+                    ext = f(x, y)
+                elif type(x) is int or type(y) is int or len(x) != len(y):
+                    ext = _broadcast(f, x, y, spans)
+                elif f is _and_not:
+                    # _and_not row by row, without a Python call per row
+                    ext = list(map(xor, x, map(and_, x, y)))
+                else:
+                    ext = list(map(f, x, y))
+            elif op == OP_A:
+                ext = x if type(x) is int else reduce(or_ if negated[a] else and_, x)
+            elif type(x) is int or len(x) == blocks:
+                # the same on each block: S keeps it and E finds no block split
+                ext = x if op == OP_S else full
+            elif op == OP_S:
+                f = and_ if negated[a] else or_
+                ext = [reduce(f, x[s:e]) for s, e in spans]
             else:
-                f = _and_not
-                if negated[a]:
-                    x, y = y, x
-            if type(x) is int and type(y) is int:
-                ext = f(x, y)
-            elif type(x) is int or type(y) is int or len(x) != len(y):
-                ext = _broadcast(f, x, y, spans)
-            elif f is _and_not:
-                # _and_not row by row, without a Python call per row
-                ext = list(map(xor, x, map(and_, x, y)))
-            else:
-                ext = list(map(f, x, y))
-        elif op == OP_A:
-            ext = x if type(x) is int else reduce(or_ if negated[a] else and_, x)
-        elif type(x) is int or len(x) == blocks:
-            # the same on each block: S keeps it and E finds no block split
-            ext = x if op == OP_S else full
-        elif op == OP_S:
-            f = and_ if negated[a] else or_
-            ext = [reduce(f, x[s:e]) for s, e in spans]
-        else:
-            split = 0
-            for s, e in spans:
-                if e - s > 1:
-                    rows = x[s:e]
-                    split |= reduce(or_, rows) ^ reduce(and_, rows)
-            ext = full ^ split
-        slots[t] = ext
-        for s in program.frees[t]:
-            slots[s] = None
-    root = slots[-1]
-    if type(root) is int:
-        root = [root]
-    elif len(root) < n:
-        root = [v for v, (s, e) in zip(root, spans) for _ in range(s, e)]
-    return list(map(full.__xor__, root)) if negated[-1] else root
+                split = 0
+                for s, e in spans:
+                    if e - s > 1:
+                        rows = x[s:e]
+                        split |= reduce(or_, rows) ^ reduce(and_, rows)
+                ext = full ^ split
+            slots[t] = ext
+            for s in frees[t]:
+                slots[s] = None
+        reduced.append(_failing_rows(ext, negated[root], full, spans, n))
+        done = root + 1
+    if program.roots == program.stops:
+        return reduced
+    by_slot = dict(zip(program.stops, reduced))
+    return [by_slot[r] for r in program.roots]
+
+
+def _failing_rows(x, negated: bool, full: int, spans, n: int) -> list[int] | None:
+    """A root's value x as rows of its own polarity, one per state or one
+    standing for every state; None when every row is the whole window."""
+    if type(x) is int:
+        x = full ^ x if negated else x
+        return None if x == full else [x]
+    if negated:
+        if not reduce(or_, x):
+            return None
+        x = list(map(full.__xor__, x))
+    elif reduce(and_, x) == full:
+        return None
+    if len(x) < n:
+        x = [v for v, (s, e) in zip(x, spans) for _ in range(s, e)]
+    return x
 
 
 def _and_not(u: int, v: int) -> int:

@@ -62,7 +62,7 @@ from .formula import (
     subformulas,
     FormulaSyntaxError,
 )
-from .validity import EnumerationSpec, Verdict, find_countermodel, resolve_engine
+from .validity import EnumerationSpec, Verdict, find_countermodels, resolve_engine
 
 
 class Meta(Formula):
@@ -397,6 +397,7 @@ class SweepReport(Record):
     instances_checked: int
     violations: tuple[SweepViolation, ...] = ()
     elapsed_s: float = 0.0
+    models_evaluated: int = 0
 
     @property
     def ok(self) -> bool:
@@ -419,13 +420,14 @@ class SweepReport(Record):
                         name: render(g) for name, g in v.substitution
                     },
                     "instance": render(v.verdict.formula),
-                    "witness": v.verdict.to_report()["witness"],
+                    "witness": v.verdict.witness_report(),
                 }
                 for v in self.violations
             ],
         }
         if include_timing:
             doc["elapsed_s"] = self.elapsed_s
+            doc["models_evaluated"] = self.models_evaluated
         return doc
 
 
@@ -446,18 +448,28 @@ def soundness_sweep(
     """Bounded-search every corpus instantiation of every schema.
 
     A sound schema produces no violation; any countermodel-found verdict is
-    collected with its substitution and witness.
+    collected with its substitution and witness.  Each schema's instances
+    go to one find_countermodels call, so the bitslice engine walks the
+    windows once per schema, and every verdict equals the instance's own
+    search.  One call per schema rather than one for the whole sweep keeps
+    the slots of a call's shared subformulas alive only for that schema.
+    models_evaluated counts the models each walk evaluated once per walk:
+    once per schema on bitslice, where a walk lasts as long as its
+    longest-lived instance, and once per instance on python.
     """
     started = time.perf_counter()
     schemas = list(schemas)
     corpus = tuple(corpus)
     engine = resolve_engine(engine)
-    checked = 0
+    checked = evaluated = 0
     violations = []
     for schema in schemas:
-        for substitution, instance in schema_instances(schema, corpus):
-            verdict = find_countermodel(instance, spec, engine)
-            checked += 1
+        pairs = list(schema_instances(schema, corpus))
+        verdicts = find_countermodels([f for _, f in pairs], spec, engine)
+        counts = [v.stats.models_evaluated for v in verdicts]
+        evaluated += max(counts, default=0) if engine == "bitslice" else sum(counts)
+        checked += len(verdicts)
+        for (substitution, _), verdict in zip(pairs, verdicts):
             if verdict.status == "countermodel-found":
                 violations.append(SweepViolation(schema.name, substitution, verdict))
     return SweepReport(
@@ -468,4 +480,5 @@ def soundness_sweep(
         instances_checked=checked,
         violations=tuple(violations),
         elapsed_s=time.perf_counter() - started,
+        models_evaluated=evaluated,
     )

@@ -50,6 +50,19 @@ at or past it, and it ignores a falsifying model at or past it.  Every
 witness found is re-verified with the literal-clause evaluator before
 the Verdict is built, so a kernel bug cannot produce a bogus
 countermodel.
+
+Many formulas, one walk.  find_countermodels compiles several formulas
+into one program, one root each, and the bitslice walk evaluates each
+window once for all of them.  The windows, their order, the positions
+and the limit depend on the bound alone, never on the formula, and the
+kernel reports each root's rows in a window exactly as a program of that
+formula alone would.  A formula retires at its first falsifying model,
+or at the limit, with the models checked and evaluated at that moment,
+which are the counts its own walk stops with, since its own walk would
+have visited the same windows up to there; the program is then compiled
+again for the formulas still live, so a retired formula costs nothing
+more.  Each verdict, its counts and witness included, therefore equals
+the formula's own search.  The python engine walks once per formula.
 """
 
 from __future__ import annotations
@@ -152,6 +165,17 @@ def _representatives(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
             top = max(top, v)
         reps.append((rank, rgs))
     return tuple(reps)
+
+
+@cache
+def _block_ends(rgs: tuple[int, ...]) -> memoryview:
+    """The block ends of a contiguous partition, as kernels.eval_chunk
+    takes them: a memoryview, whose .shape perfbench/spans.py reads as
+    rows."""
+    n = len(rgs)
+    return memoryview(
+        bytes(i for i in range(1, n + 1) if i == n or rgs[i] != rgs[i - 1])
+    )
 
 
 class EnumerationSpec(Record):
@@ -299,6 +323,12 @@ class Verdict(Record):
             f"(atoms {atoms}; {checked}{note})"
         )
 
+    def witness_report(self) -> dict | None:
+        """The witness as the reports print it: its model and state."""
+        if self.witness_model is None:
+            return None
+        return {"model": model_to_dict(self.witness_model), "state": self.witness_state}
+
     def to_report(self, include_timing: bool = False) -> dict:
         doc = {
             "formula": render(self.formula),
@@ -311,13 +341,8 @@ class Verdict(Record):
             "models_checked": self.stats.models_checked,
             "truncated": self.stats.truncated,
             "engine": self.stats.engine,
-            "witness": None,
+            "witness": self.witness_report(),
         }
-        if self.witness_model is not None:
-            doc["witness"] = {
-                "model": model_to_dict(self.witness_model),
-                "state": self.witness_state,
-            }
         if include_timing:
             doc["elapsed_s"] = self.stats.elapsed_s
             doc["models_evaluated"] = self.stats.models_evaluated
@@ -339,33 +364,53 @@ def find_countermodel(
     across engines and window sizes.  compile_program is the input check
     for both engines.
     """
+    return find_countermodels([formula], spec, engine)[0]
+
+
+def find_countermodels(
+    formulas: Iterable[Formula], spec: EnumerationSpec, engine: str | None = None
+) -> list[Verdict]:
+    """find_countermodel of each formula, in order, from one search.
+
+    The bitslice engine compiles the formulas into one program and walks
+    the windows once for all of them; each formula retires at its own
+    first falsifying model or at the limit, so each verdict, its counts
+    included, equals that formula's own search (module docstring).  The
+    python engine walks once per formula.  Every verdict's elapsed_s is
+    the time of the whole call up to the witness re-checks.
+    """
     started = time.perf_counter()
-    program = kernels.compile_program(formula, spec.atoms)
+    formulas = tuple(formulas)
+    program = kernels.compile_program(formulas, spec.atoms)
     engine = resolve_engine(engine)
     total = spec.total_count()
     limit = total if spec.limit is None else min(spec.limit, total)
     if engine == "bitslice":
-        checked, evaluated, hit = _kernel_walk(program, spec, limit)
+        results = _kernel_walk(formulas, program, spec, limit)
     else:
-        checked, evaluated, hit = _reference_walk(formula, spec, limit)
-    stats = SearchStats(
-        models_checked=checked,
-        truncated=hit is None and checked < total,
-        elapsed_s=time.perf_counter() - started,
-        engine=engine,
-        models_evaluated=evaluated,
-    )
-    if hit is None:
-        return Verdict.valid_up_to(formula, spec, stats)
-    return Verdict.found(formula, spec, stats, *hit)
+        results = [_reference_walk(f, spec, limit) for f in formulas]
+    elapsed = time.perf_counter() - started
+    verdicts = []
+    for formula, (checked, evaluated, hit) in zip(formulas, results):
+        stats = SearchStats(
+            models_checked=checked,
+            truncated=hit is None and checked < total,
+            elapsed_s=elapsed,
+            engine=engine,
+            models_evaluated=evaluated,
+        )
+        if hit is None:
+            verdicts.append(Verdict.valid_up_to(formula, spec, stats))
+        else:
+            verdicts.append(Verdict.found(formula, spec, stats, *hit))
+    return verdicts
 
 
 _Hit = tuple[ExpertiseModel, str]
+_Result = tuple[int, int, "_Hit | None"]
 
 
-def _reference_walk(
-    formula: Formula, spec: EnumerationSpec, limit: int
-) -> tuple[int, int, _Hit | None]:
+def _reference_walk(formula: Formula, spec: EnumerationSpec, limit: int) -> _Result:
     """(models checked, models evaluated, witness or None): the first
     `limit` models in enumeration order, each evaluated through
     semantics.extension until one falls short of the whole space."""
@@ -381,39 +426,57 @@ def _reference_walk(
 
 
 def _kernel_walk(
-    program: kernels.Program, spec: EnumerationSpec, limit: int
-) -> tuple[int, int, _Hit | None]:
-    """(models checked, models evaluated, witness or None): each size's
-    shape representatives in rank order, each one's codes in windows in
-    code order, each window evaluated whole by the kernel; positions
-    before `limit` only."""
+    formulas: tuple[Formula, ...],
+    program: kernels.Program,
+    spec: EnumerationSpec,
+    limit: int,
+) -> list[_Result]:
+    """(models checked, models evaluated, witness or None) of each
+    formula: each size's shape representatives in rank order, each one's
+    codes in windows in code order, each window evaluated whole by the
+    kernel; positions before `limit` only.  A formula retires at its first
+    falsifying model or at the limit, with the counts of that moment, and
+    the program is recompiled for the formulas still live."""
+    if not formulas:
+        return []
+    results: list = [None] * len(formulas)
+    live = list(range(len(formulas)))  # formula of each program root
     k = len(spec.atoms)
     first = evaluated = 0
     for n in range(1, spec.n_states + 1):
         w = min(n * k, kernels.WINDOW_BITS)
         codes_total = 1 << (n * k)
         for rank, rgs in _representatives(n):
-            # a memoryview, whose .shape perfbench/spans.py reads as rows
-            ends = memoryview(
-                bytes(i for i in range(1, n + 1) if i == n or rgs[i] != rgs[i - 1])
-            )
+            ends = _block_ends(rgs)
             for start in range(0, codes_total, 1 << w):
                 position = first + rank * codes_total + start
                 if position >= limit:
-                    return limit, evaluated, None
+                    return [r or (limit, evaluated, None) for r in results]
                 planes = kernels.atom_planes(n, k, start, w)
-                rows = kernels.eval_chunk(program, planes, ends)
+                found = kernels.eval_chunk(program, planes, ends)
                 evaluated += 1 << w
-                fails = planes[-1] ^ reduce(and_, rows)
-                if fails:
+                if found.count(None) == len(found):
+                    continue  # every live formula holds in the whole window
+                for i, rows in zip(live, found):
+                    if rows is None:
+                        continue
+                    fails = planes[-1] ^ reduce(and_, rows)
                     t = (fails & -fails).bit_length() - 1
                     if position + t >= limit:
-                        return limit, evaluated, None
-                    state = next(i for i, r in enumerate(rows) if not r >> t & 1)
+                        results[i] = (limit, evaluated, None)
+                        continue
+                    state = next(s for s, r in enumerate(rows) if not r >> t & 1)
                     model = next(_models(n, spec.atoms, (rgs,), (start + t,)))
-                    return position + t + 1, evaluated, (model, model.states[state])
+                    hit = (model, model.states[state])
+                    results[i] = (position + t + 1, evaluated, hit)
+                live = [i for i in live if results[i] is None]
+                if not live:
+                    return results
+                program = kernels.compile_program(
+                    [formulas[i] for i in live], spec.atoms
+                )
         first += spec.size_count(n)
-    return limit, evaluated, None
+    return [r or (limit, evaluated, None) for r in results]
 
 
 def check_equivalence(

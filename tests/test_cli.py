@@ -402,9 +402,12 @@ class TestCountermodel:
 
     def test_kernel_fault_is_an_internal_error(self, capsys, monkeypatch):
         # a kernel that clears state x0 in every model reports a witness the
-        # literal re-check refutes: a fault of the program, not of the input
+        # literal re-check refutes: a fault of the program, not of the input.
+        # A root that holds in the whole window comes back as None, which
+        # stands for every state's row being the whole window.
         def faulty(program, planes, ends):
-            return [0, *eval_chunk(program, planes, ends)[1:]]
+            whole = [planes[-1]] * ends[-1]
+            return [[0, *(rows or whole)[1:]] for rows in eval_chunk(program, planes, ends)]
 
         monkeypatch.setattr(kernels, "eval_chunk", faulty)
         code, out, err = run(capsys, "countermodel", "p -> S p")
@@ -522,6 +525,33 @@ class TestSoundnessSweep:
         out = " ".join(capsys.readouterr().out.split())
         assert "comma-separated valuation atoms (default: p,q)" in out
         assert "formula" not in out
+
+    def test_help_says_the_atoms_must_include_the_corpus_atoms(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["soundness-sweep", "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert "the list must include the corpus atoms p and q" in out
+        assert "once per walk" in out
+
+    @pytest.mark.parametrize(
+        "atoms, missing", [("p", "q"), ("q,r", "p"), ("r", "p, q")]
+    )
+    def test_atoms_without_a_corpus_atom_is_a_usage_error(self, capsys, atoms, missing):
+        code, out, err = run(
+            capsys, "soundness-sweep", "--schemas", "ES,T_S", "--atoms", atoms,
+            "--max-states", "3",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --atoms {atoms!r} leaves out corpus atoms: {missing}\n"
+
+    def test_timings_count_each_walk_once(self, capsys):
+        # nine schemas, one walk each, 36 codes per walk at 2 states
+        base = ("soundness-sweep", "--with-e-distribution", "--max-states", "2", "--json")
+        _, out, _ = run(capsys, *base)
+        assert "models_evaluated" not in json.loads(out)
+        _, out, _ = run(capsys, *base, "--timings")
+        assert json.loads(out)["models_evaluated"] == 9 * 36
 
     def test_all_schemas_clean_at_small_bound(self, capsys):
         code, out, _ = run(capsys, "soundness-sweep", "--max-states", "2")

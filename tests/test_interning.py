@@ -119,7 +119,7 @@ def test_shared_subformulas_are_visited_once():
 
 def test_shared_formula_compiles_to_one_op_per_node():
     f = parse(SHARED)
-    prog = compile_program(f, tuple(SHARED_ATOMS))
+    prog = compile_program([f], tuple(SHARED_ATOMS))
     assert len(prog.ops) == 145
     # 32 independently seeded valuations of the 19 atoms over two states,
     # in one block: each a seeded window of 64 of the 2^38 codes and a
@@ -128,7 +128,9 @@ def test_shared_formula_compiles_to_one_op_per_node():
     for _ in range(32):
         start = rng.randrange(1 << 32) << 6
         t = rng.randrange(64)
-        rows = eval_chunk(prog, atom_planes(2, len(SHARED_ATOMS), start, 6), (2,))
+        planes = atom_planes(2, len(SHARED_ATOMS), start, 6)
+        # None: the formula holds at both states of every model of the window
+        rows = eval_chunk(prog, planes, (2,))[0] or [planes[-1]]
         code = start + t
         model = ExpertiseModel(
             ("x0", "x1"),

@@ -87,13 +87,17 @@ def _extension_at(rows, t):
 
 
 def _run(prog, n, k, ends, start, w):
+    """The rows of the program's one root; a root that holds in the whole
+    window comes back from the kernel as None, read here as one row that
+    is the whole window at every state."""
     planes = atom_planes(n, k, start, w)
-    return eval_chunk(prog, planes, ends)
+    [rows] = eval_chunk(prog, planes, ends)
+    return [planes[-1]] if rows is None else rows
 
 
 class TestCompile:
     def test_postfix_order(self):
-        prog = compile_program(parse("E p & ~q"), ("p", "q"))
+        prog = compile_program([parse("E p & ~q")], ("p", "q"))
         assert prog.ops == (
             (OP_ATOM, 0, 0),
             (OP_E, 0, 0),
@@ -103,15 +107,15 @@ class TestCompile:
         )
 
     def test_atom_columns_follow_given_order(self):
-        prog = compile_program(parse("q & p"), ("q", "p"))
+        prog = compile_program([parse("q & p")], ("q", "p"))
         assert [a for op, a, _ in prog.ops if op == OP_ATOM] == [0, 1]
 
     def test_constants_use_reserved_column(self):
-        prog = compile_program(parse("T"), ("p",))
+        prog = compile_program([parse("T")], ("p",))
         assert [a for op, a, _ in prog.ops if op == OP_ATOM] == [-1]
 
     def test_constant_true_is_one_op_holding_the_whole_space(self):
-        prog = compile_program(parse("T"), ("p",))
+        prog = compile_program([parse("T")], ("p",))
         assert prog.ops == ((OP_ATOM, -1, -1),)
         for ends in ((1, 2), (2,)):
             assert _run(prog, 2, 1, ends, 0, 2) == [0b1111]
@@ -119,7 +123,7 @@ class TestCompile:
     def test_repeated_subformulas_compile_once(self):
         # p, q, p & q, q & (p & q), and the whole: the inner p and q reuse
         # the slots of the outer ones
-        prog = compile_program(parse("p & (q & (p & q))"), ("p", "q"))
+        prog = compile_program([parse("p & (q & (p & q))")], ("p", "q"))
         assert prog.ops == (
             (OP_ATOM, 0, 0),
             (OP_ATOM, 1, 1),
@@ -130,25 +134,26 @@ class TestCompile:
 
     def test_unbound_atom_rejected(self):
         with pytest.raises(ValueError, match="outside the search valuations"):
-            compile_program(parse("p & r"), ("p", "q"))
+            compile_program([parse("p & r")], ("p", "q"))
 
     def test_knowledge_operator_rejected(self):
         with pytest.raises(ValueError, match="E/S/A"):
-            compile_program(parse("K p"), ("p",))
+            compile_program([parse("K p")], ("p",))
 
     def test_schema_metavariable_rejected(self):
         with pytest.raises(ValueError, match="E/S/A"):
-            compile_program(And(Atom("p"), PHI), ("p",))
+            compile_program([And(Atom("p"), PHI)], ("p",))
 
     def test_s_and_e_are_distinct_opcodes(self):
-        prog = compile_program(parse("E S p"), ("p",))
+        prog = compile_program([parse("E S p")], ("p",))
         assert [op for op, _, _ in prog.ops] == [OP_ATOM, OP_S, OP_E]
 
     def test_slots_are_freed_by_their_last_reader(self):
         # p, q, p & q, q & (p & q), p & (q & (p & q)): p is last read by
-        # op 4, q by op 3, p & q by op 3, q & (p & q) by op 4
-        prog = compile_program(parse("p & (q & (p & q))"), ("p", "q"))
-        assert [sorted(f) for f in prog.frees] == [[], [], [], [1, 2], [0, 3]]
+        # op 4, q by op 3, p & q by op 3, q & (p & q) by op 4, and the
+        # root, which no op reads, by itself once it is reduced
+        prog = compile_program([parse("p & (q & (p & q))")], ("p", "q"))
+        assert [sorted(f) for f in prog.frees] == [[], [], [], [1, 2], [0, 3, 4]]
 
     @pytest.mark.parametrize(
         "text, negated",
@@ -165,22 +170,28 @@ class TestCompile:
     def test_polarity(self, text, negated):
         # ~ flips its operand's polarity, & of two complements is one, S
         # and A keep their operand's, and E is never one
-        assert compile_program(parse(text), ("p", "q")).negated == negated
+        assert compile_program([parse(text)], ("p", "q")).negated == negated
 
 
-@given(formulas(("p", "q", "r"), with_k=False))
-def test_every_slot_but_the_root_is_freed_once_after_its_last_read(f):
-    prog = compile_program(f, ("p", "q", "r"))
+@given(st.lists(formulas(("p", "q", "r"), with_k=False), min_size=1, max_size=4))
+def test_every_slot_is_freed_once_after_its_last_read(fs):
+    # a slot some op reads is freed by its last reader; a root no op reads
+    # is freed by its own op, after eval_chunk has reduced it
+    prog = compile_program(fs, ("p", "q", "r"))
     last = {}
     for t, (op, a, b) in enumerate(prog.ops):
         if op != OP_ATOM:
             last[a] = last[b] = t
+    for r in prog.roots:
+        last.setdefault(r, r)
     freed = sorted(s for frees in prog.frees for s in frees)
     assert freed == sorted(last)
-    assert len(prog.ops) - 1 not in freed
     for t, frees in enumerate(prog.frees):
         assert all(last[s] == t for s in frees)
-    assert len(prog.ops) == len(list(subformulas(f)))
+    assert len(prog.ops) == len(list(subformulas(*fs)))
+    assert prog.stops == tuple(sorted(set(prog.roots)))
+    # the last op is always a root: no op is evaluated for nothing
+    assert prog.stops[-1] == len(prog.ops) - 1
 
 
 class TestShapes:
@@ -192,7 +203,7 @@ class TestShapes:
 
     @staticmethod
     def _rows(text):
-        return _run(compile_program(parse(text), ("p", "q")), 4, 2, (2, 4), 0, 8)
+        return _run(compile_program([parse(text)], ("p", "q")), 4, 2, (2, 4), 0, 8)
 
     @pytest.mark.parametrize("text", ["E p", "A (S p -> p)", "S A p"])
     def test_a_root_the_same_at_every_state_is_one_row(self, text):
@@ -256,7 +267,7 @@ class TestAgainstSemantics:
                 models = [_model(n, ends, atoms, start + t) for t in range(1 << w)]
                 for text in BATTERY:
                     f = parse(text)
-                    rows = _run(compile_program(f, atoms), n, len(atoms), ends, start, w)
+                    rows = _run(compile_program([f], atoms), n, len(atoms), ends, start, w)
                     assert len(rows) in (1, n)
                     for t, model in enumerate(models):
                         assert _extension_at(rows, t) & model.full_mask == extension(
@@ -264,7 +275,7 @@ class TestAgainstSemantics:
                         ), (text, ends, start + t)
 
     def test_repeated_runs_are_identical(self):
-        prog = compile_program(parse("E (p -> q) -> E p -> E q"), ("p", "q"))
+        prog = compile_program([parse("E (p -> q) -> E p -> E q")], ("p", "q"))
         for ends in ((2, 3), (1, 2, 3)):
             assert _run(prog, 3, 2, ends, 0, 6) == _run(prog, 3, 2, ends, 0, 6)
 
@@ -286,12 +297,26 @@ def windows(draw):
     return n, ends, start, w, offsets
 
 
+@given(st.lists(formulas(ATOMS, with_k=False), min_size=1, max_size=4), windows())
+def test_each_root_of_a_shared_program_gets_its_own_rows(fs, window):
+    """One program for several formulas gives each root the rows, or the
+    None, that the formula's own program gives; the list also repeats a
+    formula and adds two of its subformulas after it, so roots share
+    slots and come out of slot order."""
+    n, ends, start, w, _ = window
+    fs = [*fs, fs[0], *list(subformulas(fs[0]))[:2]]
+    planes = atom_planes(n, len(ATOMS), start, w)
+    together = eval_chunk(compile_program(fs, ATOMS), planes, ends)
+    alone = [eval_chunk(compile_program([f], ATOMS), planes, ends)[0] for f in fs]
+    assert together == alone
+
+
 @given(formulas(ATOMS, with_k=False), windows())
 def test_eval_chunk_matches_both_evaluators(f, window):
     """Bit for bit against the literal clauses and against the knowledge
     form on the induced relational model."""
     n, ends, start, w, offsets = window
-    rows = _run(compile_program(f, ATOMS), n, len(ATOMS), ends, start, w)
+    rows = _run(compile_program([f], ATOMS), n, len(ATOMS), ends, start, w)
     assert len(rows) in (1, n)
     assert all(0 <= r < 1 << (1 << w) for r in rows)
     knowledge = to_knowledge_form(f)

@@ -1,6 +1,8 @@
 """Hilbert-system machinery: schema matching, tautology rule, derivations,
 proof files, and the bounded soundness sweep."""
 
+from functools import cache
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,8 @@ from expertlogic.proofs import (
     RS,
     SCHEMAS,
     Step,
+    SweepReport,
+    SweepViolation,
     Taut,
     TautologyLimitError,
     check_derivation,
@@ -28,7 +32,7 @@ from expertlogic.proofs import (
     schema_instances,
     soundness_sweep,
 )
-from expertlogic.validity import EnumerationSpec, corpus_formulas
+from expertlogic.validity import EnumerationSpec, corpus_formulas, find_countermodel
 
 from mutations import mutation_catalog
 from reference import ref_tautology
@@ -416,3 +420,77 @@ class TestSoundnessSweep:
         assert report.engine == "python"
         with pytest.raises(ValueError, match="unknown engine"):
             soundness_sweep([], corpus_formulas(), spec, "gpu")
+
+
+ALL_NINE = [*SCHEMAS.values(), E_DISTRIBUTION]
+
+
+def _limited(n):
+    """A limit that cuts inside the bound's largest size over {p, q}."""
+    return EnumerationSpec(n, ("p", "q")).total_count() * 2 // 3
+
+
+@cache
+def _single_searches(n, limit):
+    """Every instance of the nine schemas searched on its own:
+    {(schema, substitution): verdict}."""
+    spec = EnumerationSpec(n, ("p", "q"), limit)
+    return {
+        (schema.name, substitution): find_countermodel(instance, spec)
+        for schema in ALL_NINE
+        for substitution, instance in schema_instances(schema, corpus_formulas())
+    }
+
+
+class TestSweepSearchesEachSchemaOnce:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("cut", [False, True], ids=["whole", "limit"])
+    @pytest.mark.parametrize(
+        "schemas",
+        [[s] for s in ALL_NINE] + [ALL_NINE],
+        ids=[s.name for s in ALL_NINE] + ["all"],
+    )
+    def test_report_equals_one_search_per_instance(self, schemas, n, cut):
+        limit = _limited(n) if cut else None
+        spec = EnumerationSpec(n, ("p", "q"), limit)
+        verdicts = _single_searches(n, limit)
+        violations = [
+            SweepViolation(schema.name, substitution, verdicts[schema.name, substitution])
+            for schema in schemas
+            for substitution, _ in schema_instances(schema, corpus_formulas())
+            if verdicts[schema.name, substitution].status == "countermodel-found"
+        ]
+        expected = SweepReport(
+            schemas=tuple(s.name for s in schemas),
+            corpus=corpus_formulas(),
+            spec=spec,
+            engine="bitslice",
+            instances_checked=sum(1 for s in schemas for _ in schema_instances(s, corpus_formulas())),
+            violations=tuple(violations),
+        )
+        report = soundness_sweep(schemas, corpus_formulas(), spec)
+        assert report.to_report() == expected.to_report()
+        # the verdicts themselves, counts and witnesses included
+        assert [v.verdict.stats.models_checked for v in report.violations] == [
+            v.verdict.stats.models_checked for v in violations
+        ]
+
+    def test_models_evaluated_counts_each_walk_once(self):
+        # over {p, q} at 2 states a whole walk is 4 + 2 * 16 = 36 codes;
+        # every schema has an instance valid to the bound, so each of the
+        # nine walks runs whole
+        spec = EnumerationSpec(2, ("p", "q"))
+        report = soundness_sweep(ALL_NINE, corpus_formulas(), spec)
+        assert report.models_evaluated == 9 * 36
+        assert report.to_report(include_timing=True)["models_evaluated"] == 9 * 36
+        assert "models_evaluated" not in report.to_report()
+        # the python engine walks once per instance: 12 of T_S
+        report = soundness_sweep([SCHEMAS["T_S"]], corpus_formulas(), spec, "python")
+        assert report.models_evaluated == 12 * 36
+
+    def test_witness_report_is_the_verdicts_own(self):
+        spec = EnumerationSpec(2, ("p", "q"))
+        report = soundness_sweep([E_DISTRIBUTION], corpus_formulas(), spec)
+        for doc, v in zip(report.to_report()["violations"], report.violations):
+            assert doc["witness"] == v.verdict.to_report()["witness"]
+            assert doc["witness"] == v.verdict.witness_report()

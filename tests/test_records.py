@@ -73,7 +73,11 @@ CASES = [
         },
         {},
     ),
-    (Program, {"ops": ((0, 0, 0),), "frees": ((),), "negated": (False,)}, {}),
+    (
+        Program,
+        {"ops": ((0, 0, 0),), "frees": ((0,),), "negated": (False,), "roots": (0,), "stops": (0,)},
+        {},
+    ),
     (EnumerationSpec, {"n_states": 3, "atoms": ("p", "q"), "limit": 10}, {"limit": None}),
     (
         SearchStats,
@@ -122,8 +126,9 @@ CASES = [
             "instances_checked": 2,
             "violations": (),
             "elapsed_s": 0.125,
+            "models_evaluated": 72,
         },
-        {"violations": (), "elapsed_s": 0.0},
+        {"violations": (), "elapsed_s": 0.0, "models_evaluated": 0},
     ),
 ]
 IDS = [cls.__name__ for cls, _, _ in CASES]

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 
 from expertlogic import kernels, validity
-from expertlogic.formula import parse, render
+from expertlogic.formula import TOP, Atom, ModalA, ModalE, parse, render, subformulas
 from expertlogic.model import Partition, model_to_dict
 from expertlogic.semantics import extension
 from expertlogic.validity import (
@@ -30,6 +30,7 @@ from expertlogic.validity import (
     CORPUS_TEXTS,
     enumerate_models,
     find_countermodel,
+    find_countermodels,
     resolve_engine,
     rgs_partitions,
 )
@@ -339,9 +340,10 @@ class TestSearch:
         eval_chunk = kernels.eval_chunk
 
         def guarded(program, planes, ends):
-            rows = eval_chunk(program, planes, ends)
+            found = eval_chunk(program, planes, ends)
+            rows = [v for root in found if root is not None for v in root]
             widths.append(max(v.bit_length() for v in (*planes, *rows)))
-            return rows
+            return found
 
         monkeypatch.setattr(kernels, "eval_chunk", guarded)
         spec = EnumerationSpec(6, ("p", "q", "r"))
@@ -598,6 +600,123 @@ def test_window_size_does_not_change_the_report(window_bits, case):
     for doc in reports:
         doc.pop("engine")
     assert reports[0] == reports[1] == reports[2]
+
+
+@st.composite
+def formula_lists(draw):
+    """A bound and limit as in searches() (1-3 states here, so six formulas
+    stay quick on the python engine) and 1-6 formulas that share: repeats,
+    subformulas of one another, T, bare atoms, and A- or E-rooted formulas,
+    whose value is one int for every state."""
+    atoms = ("p", "q", "r")[: draw(st.integers(1, 3))]
+    n = draw(st.integers(1, 3))
+    pool = draw(st.lists(formulas(atoms, with_k=False, max_leaves=8), min_size=1, max_size=3))
+    parts = [g for f in pool for g in subformulas(f)]
+    pick = st.sampled_from(pool)
+    one = (
+        pick
+        | st.sampled_from(parts)
+        | st.sampled_from([TOP, *map(Atom, atoms)])
+        | st.builds(ModalA, pick)
+        | st.builds(ModalE, pick)
+    )
+    fs = draw(st.lists(one, min_size=1, max_size=6))
+    total = EnumerationSpec(n, atoms).total_count()
+    limit = draw(st.none() | st.integers(1, min(total, 1_000)))
+    return fs, EnumerationSpec(n, atoms, limit)
+
+
+def _fields(verdict):
+    """Everything a verdict says, elapsed time aside."""
+    stats = verdict.stats
+    return (
+        verdict.formula,
+        verdict.status,
+        verdict.spec,
+        verdict.witness_model,
+        verdict.witness_state,
+        stats.models_checked,
+        stats.truncated,
+        stats.engine,
+        stats.models_evaluated,
+    )
+
+
+@pytest.mark.parametrize("window_bits", [kernels.WINDOW_BITS, 3, 6])
+@settings(max_examples=30, deadline=None)
+@given(case=formula_lists())
+def test_one_search_of_many_formulas_equals_a_search_of_each(window_bits, case):
+    # each formula retires at its own first failure or at the limit, with
+    # the counts its own search reports; windows of 8 or 64 codes make
+    # formulas retire in different windows of one size
+    fs, spec = case
+    default = kernels.WINDOW_BITS
+    kernels.WINDOW_BITS = window_bits
+    try:
+        for engine in ENGINES:
+            together = find_countermodels(fs, spec, engine)
+            alone = [find_countermodel(f, spec, engine) for f in fs]
+            assert list(map(_fields, together)) == list(map(_fields, alone))
+    finally:
+        kernels.WINDOW_BITS = default
+
+
+class TestManyFormulas:
+    def test_one_kernel_walk_for_all_formulas(self, monkeypatch):
+        # p fails in the first window and E p at 2 states; the valid
+        # p -> S p keeps the walk going to the bound: 1 + 2 windows over
+        # {p, q} at 2 states, not one walk per formula
+        calls = []
+        eval_chunk = kernels.eval_chunk
+
+        def counted(program, planes, ends):
+            calls.append(len(program.roots))
+            return eval_chunk(program, planes, ends)
+
+        monkeypatch.setattr(kernels, "eval_chunk", counted)
+        fs = [parse("p -> S p"), parse("p"), parse("E p"), parse("p -> S p")]
+        verdicts = find_countermodels(fs, EnumerationSpec(2, ("p", "q")), "bitslice")
+        assert [v.status == "countermodel-found" for v in verdicts] == [False, True, True, False]
+        # the program is recompiled for the formulas still live
+        assert calls == [4, 3, 2]
+        assert [v.stats.models_evaluated for v in verdicts] == [36, 4, 20, 36]
+
+    def test_retired_formulas_leave_the_program(self, monkeypatch):
+        compiled = []
+        compile_program = kernels.compile_program
+
+        def counted(formulas, atoms):
+            compiled.append(len(formulas))
+            return compile_program(formulas, atoms)
+
+        monkeypatch.setattr(kernels, "compile_program", counted)
+        fs = [parse("p"), parse("q"), parse("p -> S p")]
+        find_countermodels(fs, EnumerationSpec(3, ("p", "q")), "bitslice")
+        # p and q fail in the first window; p -> S p alone walks on
+        assert compiled == [3, 1]
+
+    @pytest.mark.parametrize("engine", ENGINE_PARAMS)
+    def test_no_formulas_is_no_search(self, engine):
+        assert find_countermodels([], EnumerationSpec(3, ("p",)), engine) == []
+
+    @pytest.mark.parametrize("engine", ENGINE_PARAMS)
+    def test_input_check_names_every_loose_atom(self, engine):
+        fs = [parse("p & r"), parse("s")]
+        with pytest.raises(ValueError, match="outside the search valuations: r, s"):
+            find_countermodels(fs, EnumerationSpec(2, ("p",)), engine)
+
+    def test_a_bad_witness_of_any_formula_is_refused(self, monkeypatch):
+        # the literal re-check covers every formula of the search
+        eval_chunk = kernels.eval_chunk
+
+        def faulty(program, planes, ends):
+            found = eval_chunk(program, planes, ends)
+            return [found[0], *([[0]] * (len(found) - 1))]
+
+        monkeypatch.setattr(kernels, "eval_chunk", faulty)
+        fs = [parse("p"), parse("p -> S p")]
+        with pytest.raises(RuntimeError, match="does not falsify"):
+            find_countermodels(fs, EnumerationSpec(2, ("p",)), "bitslice")
 
 
 class TestWitnessIsEnumerationLeast:
