@@ -26,8 +26,16 @@ agrees/differs, no-countermodel/found, proof ok/bad step, sweep
 clean/violations).  A warning prints once per command, as one line
 `<category>: <message>` on stderr.
 
-Only check-proof and soundness-sweep import the proof layer, so the
-other commands start without it.
+A process runs one command, so it compiles only the modules that command
+calls: this module imports the formula layer alone, and each cmd_* imports
+the rest.  translate needs nothing more; eval, extension and
+correspondence add the model and semantics layers, to-s5 the model layer
+alone, and check-proof the proof layer alone.  countermodel and equiv add
+the search (validity and its kernel, which import model and semantics),
+and soundness-sweep the proof layer too.  For the same reason main builds
+the arguments of the chosen command's subparser and no other (see
+build_parser), and the search options and --mode read their choices from
+validity and semantics only when that subparser is built.
 """
 
 from __future__ import annotations
@@ -37,6 +45,7 @@ import json
 import os
 import sys
 import warnings
+from typing import TYPE_CHECKING
 
 from .formula import (
     atom_names,
@@ -45,22 +54,9 @@ from .formula import (
     render,
     to_knowledge_form,
 )
-from .model import (
-    braced,
-    load_model,
-    model_to_dict,
-    relational_to_dict,
-    set_names,
-    to_s5_model,
-)
-from .semantics import MODES, check_correspondence, extension
-from .validity import (
-    ENGINES,
-    EnumerationSpec,
-    check_equivalence,
-    corpus_formulas,
-    find_countermodel,
-)
+
+if TYPE_CHECKING:  # each command imports the layers it calls
+    from .validity import EnumerationSpec
 
 DEFAULT_BOUND = 4
 DEFAULT_ATOM_CAP = 3
@@ -90,6 +86,8 @@ def _atoms_option(args) -> tuple[str, ...] | None:
 
 
 def _search_spec(args, *formulas) -> EnumerationSpec:
+    from .validity import EnumerationSpec
+
     atoms = _atoms_option(args)
     if atoms is None:
         names = set()
@@ -105,10 +103,15 @@ def _search_spec(args, *formulas) -> EnumerationSpec:
 
 
 def _classes(model) -> list[list[str]]:
+    from .model import set_names
+
     return [set_names(b, model.states) for b in model.partition.blocks]
 
 
 def cmd_eval(args) -> Answer:
+    from .model import braced, load_model, set_names
+    from .semantics import extension
+
     model = load_model(args.model)
     f = parse(args.formula)
     ext = extension(model, f, mode=args.mode)
@@ -127,6 +130,9 @@ def cmd_eval(args) -> Answer:
 
 
 def cmd_extension(args) -> Answer:
+    from .model import braced, load_model, set_names
+    from .semantics import extension
+
     model = load_model(args.model)
     f = parse(args.formula)
     names = set_names(extension(model, f, mode=args.mode), model.states)
@@ -150,6 +156,8 @@ def cmd_translate(args) -> Answer:
 
 
 def cmd_to_s5(args) -> Answer:
+    from .model import braced, load_model, relational_to_dict, to_s5_model
+
     model = load_model(args.model)
     doc = relational_to_dict(to_s5_model(model))
     doc["classes"] = _classes(model)
@@ -162,6 +170,9 @@ def cmd_to_s5(args) -> Answer:
 
 
 def cmd_correspondence(args) -> Answer:
+    from .model import braced, load_model, set_names
+    from .semantics import check_correspondence
+
     model = load_model(args.model)
     report = check_correspondence(model, parse(args.formula))
     doc = {
@@ -192,6 +203,8 @@ def _witness_lines(verdict) -> list[str]:
     """The verdict's countermodel, indented; no lines when it has none."""
     if verdict.witness_model is None:
         return []
+    from .model import braced, model_to_dict
+
     doc = model_to_dict(verdict.witness_model)
     valuation = sorted(doc["valuation"].items())
     return [
@@ -203,6 +216,8 @@ def _witness_lines(verdict) -> list[str]:
 
 
 def cmd_countermodel(args) -> Answer:
+    from .validity import find_countermodel
+
     f = parse(args.formula)
     verdict = find_countermodel(f, _search_spec(args, f), args.engine)
     doc = verdict.to_report(include_timing=args.timings)
@@ -211,6 +226,8 @@ def cmd_countermodel(args) -> Answer:
 
 
 def cmd_equiv(args) -> Answer:
+    from .validity import check_equivalence
+
     left = parse(args.left)
     right = parse(args.right)
     spec = _search_spec(args, left, right)
@@ -240,7 +257,9 @@ def cmd_check_proof(args) -> Answer:
 
 
 def cmd_soundness_sweep(args) -> Answer:
+    from .model import braced
     from .proofs import E_DISTRIBUTION, SCHEMAS, soundness_sweep
+    from .validity import EnumerationSpec, corpus_formulas
 
     if args.schemas is not None:
         known = {**SCHEMAS, E_DISTRIBUTION.name: E_DISTRIBUTION}
@@ -281,6 +300,8 @@ def cmd_soundness_sweep(args) -> Answer:
 def _add_search_flags(p, atoms_help: str, evaluated_help: str) -> None:
     """The bound, engine and report flags; the caller says what --atoms
     defaults to and what --timings counts as evaluated."""
+    from .validity import ENGINES
+
     p.add_argument(
         "--max-states",
         type=int,
@@ -313,61 +334,26 @@ def _add_search_flags(p, atoms_help: str, evaluated_help: str) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="expertlogic",
-        description="Model checking and proof checking for the expertise/soundness modal logic.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _mode_option(p) -> None:
+    from .semantics import MODES
 
-    p = sub.add_parser("eval", help="evaluate a formula on a model")
-    p.add_argument("model")
-    p.add_argument("formula")
+    p.add_argument("--mode", choices=MODES, default="fast")
+
+
+def _eval_options(p) -> None:
     p.add_argument("--state", help="evaluate at this state only")
-    p.add_argument("--mode", choices=MODES, default="fast")
-    p.set_defaults(func=cmd_eval)
+    _mode_option(p)
 
-    p = sub.add_parser("extension", help="print the set of states satisfying a formula")
-    p.add_argument("model")
-    p.add_argument("formula")
-    p.add_argument("--mode", choices=MODES, default="fast")
-    p.set_defaults(func=cmd_extension)
 
-    p = sub.add_parser("translate", help="print the knowledge form and the expertise-free form")
-    p.add_argument("formula")
-    p.set_defaults(func=cmd_translate)
-
-    p = sub.add_parser("to-s5", help="print the induced relational model")
-    p.add_argument("model")
-    p.set_defaults(func=cmd_to_s5)
-
-    p = sub.add_parser(
-        "correspondence",
-        help="check a formula against its knowledge form on the induced model",
-    )
-    p.add_argument("model")
-    p.add_argument("formula")
-    p.set_defaults(func=cmd_correspondence)
-
-    p = sub.add_parser("countermodel", help="bounded countermodel search")
-    p.add_argument("formula")
+def _countermodel_options(p) -> None:
     _add_search_flags(p, "(default: the formula's atoms)", SEARCH_EVALUATED)
-    p.set_defaults(func=cmd_countermodel)
 
-    p = sub.add_parser("equiv", help="bounded equivalence check")
-    p.add_argument("left")
-    p.add_argument("right")
+
+def _equiv_options(p) -> None:
     _add_search_flags(p, "(default: the atoms of both formulas)", SEARCH_EVALUATED)
-    p.set_defaults(func=cmd_equiv)
 
-    p = sub.add_parser("check-proof", help="verify a derivation file")
-    p.add_argument("proof")
-    p.set_defaults(func=cmd_check_proof)
 
-    p = sub.add_parser(
-        "soundness-sweep",
-        help="bounded-search every axiom instantiation over the corpus",
-    )
+def _sweep_options(p) -> None:
     p.add_argument(
         "--schemas",
         metavar="LIST",
@@ -386,16 +372,87 @@ def build_parser() -> argparse.ArgumentParser:
         "window the kernel evaluates, once per walk (a walk per schema, or per "
         "instance with --engine python)",
     )
-    p.set_defaults(func=cmd_soundness_sweep)
 
-    for p in sub.choices.values():
-        p.add_argument("--json", action="store_true", help="emit a stable JSON document")
+
+# each command: its help, its positional arguments, the function that adds
+# its options (besides --json) and the cmd_* that runs it, in the order
+# `expertlogic --help` lists them
+_COMMANDS = {
+    "eval": (
+        "evaluate a formula on a model",
+        ("model", "formula"),
+        _eval_options,
+        cmd_eval,
+    ),
+    "extension": (
+        "print the set of states satisfying a formula",
+        ("model", "formula"),
+        _mode_option,
+        cmd_extension,
+    ),
+    "translate": (
+        "print the knowledge form and the expertise-free form",
+        ("formula",),
+        None,
+        cmd_translate,
+    ),
+    "to-s5": ("print the induced relational model", ("model",), None, cmd_to_s5),
+    "correspondence": (
+        "check a formula against its knowledge form on the induced model",
+        ("model", "formula"),
+        None,
+        cmd_correspondence,
+    ),
+    "countermodel": (
+        "bounded countermodel search",
+        ("formula",),
+        _countermodel_options,
+        cmd_countermodel,
+    ),
+    "equiv": ("bounded equivalence check", ("left", "right"), _equiv_options, cmd_equiv),
+    "check-proof": ("verify a derivation file", ("proof",), None, cmd_check_proof),
+    "soundness-sweep": (
+        "bounded-search every axiom instantiation over the corpus",
+        (),
+        _sweep_options,
+        cmd_soundness_sweep,
+    ),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command's name and help, with the arguments of
+    `command` alone, or of every command when it is None.
+
+    argparse parses a command line with the subparser of its command and
+    no other, and adding arguments is most of the cost of a build, so main
+    builds one command's arguments.  The search options read the engine
+    names from the validity layer and --mode the modes from the semantics
+    layer, so a command whose subparser has neither imports neither.
+    """
+    parser = argparse.ArgumentParser(
+        prog="expertlogic",
+        description="Model checking and proof checking for the expertise/soundness modal logic.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, positionals, add_options, run) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command is None or command == name:
+            for positional in positionals:
+                p.add_argument(positional)
+            if add_options is not None:
+                add_options(p)
+            p.add_argument("--json", action="store_true", help="emit a stable JSON document")
+            p.set_defaults(func=run)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top-level parser has no option but -h, so argparse takes the
+    # first argument that is not an option for the command
+    command = next((a for a in argv if not a.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     shown = set()
 
     def show_warning(message, category, filename, lineno, file=None, line=None):

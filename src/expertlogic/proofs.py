@@ -39,7 +39,7 @@ from __future__ import annotations
 import itertools
 import re
 import time
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .formula import (
     And,
@@ -62,7 +62,9 @@ from .formula import (
     subformulas,
     FormulaSyntaxError,
 )
-from .validity import EnumerationSpec, Verdict, find_countermodels, resolve_engine
+
+if TYPE_CHECKING:  # the search loads with the first sweep, not with proofs
+    from .validity import EnumerationSpec, Verdict
 
 
 class Meta(Formula):
@@ -432,11 +434,27 @@ class SweepReport(Record):
 
 
 def schema_instances(schema: AxiomSchema, corpus):
-    """(substitution, instance) pairs over the corpus, in corpus order."""
+    """(substitution, instance) pairs over the corpus, in corpus order.
+
+    The template is walked once: each of its nodes, children before
+    parents, with the positions of its children in that order, builds its
+    part of every instance, as instantiate would.
+    """
     names = schema.metavariables()
+    nodes = list(subformulas(schema.template))
+    position = {g: i for i, g in enumerate(nodes)}
+    steps = [(g, type(g), [position[c] for c in g.children]) for g in nodes]
     for picks in itertools.product(corpus, repeat=len(names)):
         subst = dict(zip(names, picks))
-        yield tuple(subst.items()), instantiate(schema.template, subst)
+        built = []
+        for g, kind, kids in steps:
+            if kind is Meta:
+                built.append(subst[g.name])
+            elif kids:
+                built.append(kind(*[built[i] for i in kids]))
+            else:
+                built.append(g)
+        yield tuple(subst.items()), built[-1]
 
 
 def soundness_sweep(
@@ -457,6 +475,8 @@ def soundness_sweep(
     once per schema on bitslice, where a walk lasts as long as its
     longest-lived instance, and once per instance on python.
     """
+    from .validity import find_countermodels, resolve_engine
+
     started = time.perf_counter()
     schemas = list(schemas)
     corpus = tuple(corpus)

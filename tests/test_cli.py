@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from expertlogic import kernels
-from expertlogic.cli import main
+from expertlogic.cli import build_parser, main
 from expertlogic.formula import atom_names, parse, render
 from expertlogic.kernels import eval_chunk
 
@@ -694,3 +694,38 @@ class TestEntryPoint:
             text=True,
         )
         assert proc.returncode == 2
+
+
+# The help and usage errors of the command line, as the parser that built
+# every subparser's arguments printed them (argparse of Python 3.11, at
+# COLUMNS=80).  main builds the arguments of its command alone.
+USAGE_CASES = json.loads((Path(__file__).resolve().parent / "usage.json").read_text())
+USAGE_IDS = [" ".join(case["argv"]) or "no-arguments" for case in USAGE_CASES]
+
+
+def _usage(parse, argv):
+    """Exit code, stdout and stderr of a parse that ends the program."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as stop:
+            parse(argv)
+    return stop.value.code, out.getvalue(), err.getvalue()
+
+
+class TestUsage:
+    @pytest.mark.parametrize("case", USAGE_CASES, ids=USAGE_IDS)
+    def test_one_subparser_prints_what_the_whole_parser_prints(self, monkeypatch, case):
+        # argparse words its messages differently from one Python to the
+        # next; the whole parser is this Python's reference
+        monkeypatch.setenv("COLUMNS", "80")
+        whole = _usage(lambda argv: build_parser().parse_args(argv), case["argv"])
+        assert _usage(main, case["argv"]) == whole
+
+    @pytest.mark.skipif(
+        sys.version_info[:2] != (3, 11), reason="the bytes of Python 3.11's argparse"
+    )
+    @pytest.mark.parametrize("case", USAGE_CASES, ids=USAGE_IDS)
+    def test_bytes_as_pinned(self, monkeypatch, case):
+        monkeypatch.setenv("COLUMNS", "80")
+        got = _usage(main, case["argv"])
+        assert got == (case["code"], case["stdout"], case["stderr"])

@@ -372,10 +372,15 @@ class TestSchemaInstances:
         # first metavariable varies slowest, in corpus order
         assert [dict(s)["phi"] for s, _ in got[:4]] == [corpus[0]] * 4
 
-    def test_instances_reproduce_via_instantiate(self):
-        corpus = corpus_formulas()[:3]
-        for subst, instance in schema_instances(SCHEMAS["K_A"], corpus):
-            assert instantiate(SCHEMAS["K_A"].template, dict(subst)) == instance
+    @pytest.mark.parametrize(
+        "schema", [*SCHEMAS.values(), E_DISTRIBUTION], ids=lambda s: s.name
+    )
+    def test_instances_reproduce_via_instantiate(self, schema):
+        # nodes are interned, so equal instances are one object
+        pairs = list(schema_instances(schema, corpus_formulas()))
+        assert len(pairs) == 12 ** len(schema.metavariables())
+        for subst, instance in pairs:
+            assert instance is instantiate(schema.template, dict(subst))
 
 
 class TestSoundnessSweep:

@@ -3,10 +3,9 @@
 The pytest process may have numpy loaded by some other package, so every
 test here runs its program in a fresh interpreter.  No command imports
 numpy: the search kernel computes on Python ints.  No command imports
-dataclasses, and the commands that neither search nor check a proof
-leave the proof layer unloaded.  Importing the kernel also keeps the
-pages a search frees mapped for the next search (kernels module
-docstring).
+dataclasses, and each command loads only the package's modules it calls
+(LOADS).  Importing the kernel also keeps the pages a search frees mapped
+for the next search (kernels module docstring).
 """
 
 import json
@@ -67,8 +66,25 @@ for argv in {COMMANDS!r}:
     assert not any(loaded for _, _, loaded in runs), runs
 
 
-# commands that neither search nor check a proof
-PROOF_FREE = {"translate", "eval", "extension", "to-s5", "correspondence"}
+# the package's modules a command loads besides expertlogic, its cli and
+# formula modules: the layers it calls and the ones those import
+SEARCH = {"model", "semantics", "kernels", "validity"}
+LOADS = {
+    "translate": set(),
+    "eval": {"model", "semantics"},
+    "extension": {"model", "semantics"},
+    "to-s5": {"model"},
+    "correspondence": {"model", "semantics"},
+    "check-proof": {"proofs"},
+    "countermodel": SEARCH,
+    "equiv": SEARCH,
+    "soundness-sweep": SEARCH | {"proofs"},
+}
+ALWAYS = {"expertlogic", "expertlogic.cli", "expertlogic.formula"}
+
+
+def _own(modules) -> set[str]:
+    return {m for m in modules if m.split(".")[0] == "expertlogic"}
 
 # runs the package as __main__, as `python -m expertlogic` does, then
 # prints the exit code and the loaded modules as the last line of stdout
@@ -97,12 +113,13 @@ def test_what_a_command_loads(argv):
     assert proc.returncode == 0, proc.stderr
     code, modules = json.loads(proc.stdout.splitlines()[-1])
     assert code in (0, 1), proc.stderr
-    assert "expertlogic.cli" in modules
     assert "dataclasses" not in modules
-    if argv[0] in PROOF_FREE:
-        assert "expertlogic.proofs" not in modules
-    elif argv[0] in ("check-proof", "soundness-sweep"):
-        assert "expertlogic.proofs" in modules
+    assert _own(modules) == ALWAYS | {f"expertlogic.{m}" for m in LOADS[argv[0]]}
+
+
+def test_importing_the_cli_loads_only_the_formula_layer():
+    script = "import json, sys; import expertlogic.cli; print(json.dumps(sorted(sys.modules)))"
+    assert _own(json.loads(_child(script))) == ALWAYS
 
 
 def test_the_kernel_resolves_as_a_package_attribute():
