@@ -425,10 +425,11 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     `command` alone, or of every command when it is None.
 
     argparse parses a command line with the subparser of its command and
-    no other, and adding arguments is most of the cost of a build, so main
-    builds one command's arguments.  The search options read the engine
-    names from the validity layer and --mode the modes from the semantics
-    layer, so a command whose subparser has neither imports neither.
+    no other, so main gives arguments to that subparser only; the others
+    hold the name and help line that `expertlogic --help` and the
+    invalid-choice error print.  The search options read the engine names
+    from the validity layer and --mode the modes from the semantics layer,
+    so a command whose subparser has neither imports neither.
     """
     parser = argparse.ArgumentParser(
         prog="expertlogic",
@@ -436,8 +437,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, positionals, add_options, run) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        if command is None or command == name:
+        built = command is None or command == name
+        # a subparser that parses nothing needs no -h either
+        p = sub.add_parser(name, help=help_text, add_help=built)
+        if built:
             for positional in positionals:
                 p.add_argument(positional)
             if add_options is not None:
