@@ -86,6 +86,7 @@ ALWAYS = {"expertlogic", "expertlogic.cli", "expertlogic.formula"}
 def _own(modules) -> set[str]:
     return {m for m in modules if m.split(".")[0] == "expertlogic"}
 
+
 # runs the package as __main__, as `python -m expertlogic` does, then
 # prints the exit code and the loaded modules as the last line of stdout
 RUN_AS_MAIN = """
