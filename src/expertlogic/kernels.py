@@ -5,10 +5,22 @@ distinct subformula across all of them, in formula.subformulas order
 (children first), so a subformula that recurs, in one formula or in
 several, is evaluated once.  Op t writes slot t and reads its operands
 from earlier slots by index; each formula's root is the slot of its
-whole, recorded in Program.roots.  compile_program also records, for
-each op, the slots it is the last reader of (a root that no op reads is
-its own last reader), and eval_chunk drops those slots after the op, so
-only the live part of the program holds memory.
+whole, recorded in Program.roots.  The compiler also records, for each
+op, the slots it is the last reader of (a root that no op reads is its
+own last reader), and eval_chunk drops those slots after the op, so only
+the live part of the program holds memory.
+
+An op is its key (opcode, a, b), and the compiler gives each distinct
+key one slot.  Nodes are interned, so two keys are equal exactly when
+their nodes are: a node needs no other identity than its key.  So
+compile_instances compiles every instance of a proof schema over a
+corpus from the template, each metavariable standing for its corpus
+formula's slot, into the program compile_program would make of the
+instances, without building one of them.  Both walks emit their ops
+through one routine, _Ops.emit.  prune cuts a program down to some of its
+roots: it drops the ops that no kept root reads and numbers the rest
+again, which is what a search does when a formula retires, instead of
+compiling the formulas still live again.
 
 eval_chunk runs the ops up to each root in turn (Program.stops, the
 distinct roots in slot order) and reduces that root there, before its
@@ -91,6 +103,7 @@ with and without them is the same within noise.
 from __future__ import annotations
 
 from functools import cache, reduce
+from itertools import compress, product
 from operator import and_, or_, xor
 
 from .formula import (
@@ -149,65 +162,166 @@ class Program(Record):
         values["stops"] = stops
 
 
-def compile_program(formulas, atom_order) -> Program:
-    """One op per distinct node of K-free formulas, over the given atom
-    columns, with one root per formula, in the order given.
+class _Ops:
+    """A program being compiled: the slot of each op key, in slot order,
+    and each op's polarity.
 
-    This is the bounded search's input check.  A node outside E/S/A (K,
-    or a proof metavariable) is rejected as soon as the walk meets it;
-    atoms outside `atom_order` are rejected after the walk, all of them
-    across the formulas, sorted.  The constant T needs no column: it
-    compiles to an atom op reading column -1, the whole window.
+    Nodes are interned, so two nodes are equal exactly when they have the
+    same type and equal fields; by induction over the children, two nodes
+    compile to the same key (opcode, a, b) exactly when they are equal.  So
+    a key seen before is the node seen before, and it keeps its one slot
+    without the node being looked up, or ever built.
     """
-    index = {a: i for i, a in enumerate(atom_order)}
-    slot: dict[Formula, int] = {}
-    ops: list[tuple[int, int, int]] = []
-    negated: list[bool] = []
-    last_reader: dict[int, int] = {}
-    loose: set[str] = set()
-    for t, g in enumerate(subformulas(*formulas)):
-        kind = type(g)
-        code = _OPCODE.get(kind)
-        if code is not None:
-            a, b = slot[g.children[0]], slot[g.children[-1]]
-            last_reader[a] = last_reader[b] = t
-            op = (code, a, b)
-            # ~ flips its operand's polarity, E is never negated, and &, S
-            # and A are negated iff every operand is
-            if kind is Not:
-                neg = not negated[a]
+
+    __slots__ = ("atom_order", "loose", "slots", "negated", "last_reader")
+
+    def __init__(self, atom_order):
+        self.atom_order = atom_order
+        self.loose: set[str] = set()
+        self.slots: dict[tuple[int, int, int], int] = {}
+        self.negated: list[bool] = []
+        self.last_reader: dict[int, int] = {}
+
+    def emit(self, nodes, slot: dict) -> None:
+        """Record in `slot` the slot of each of `nodes`, children before
+        parents, reading each node's children's slots from `slot`; a node
+        whose key is new gets a new op.
+
+        This is the bounded search's input check.  A node outside E/S/A (K,
+        or a proof metavariable) is rejected as soon as it is met; an atom
+        outside the atom columns is kept in `loose` for program() to
+        report.  The constant T needs no column: it compiles to an atom op
+        reading column -1, the whole window.
+        """
+        column_of = self.atom_order.index
+        negated = self.negated
+        last_reader = self.last_reader
+        add = self.slots.setdefault
+        for g in nodes:
+            kind = type(g)
+            code = _OPCODE.get(kind)
+            if code is not None:
+                a, b = slot[g.children[0]], slot[g.children[-1]]
+                key = (code, a, b)
+                # ~ flips its operand's polarity, E is never negated, and
+                # &, S and A are negated iff every operand is
+                if kind is Not:
+                    neg = not negated[a]
+                else:
+                    neg = kind is not ModalE and negated[a] and negated[b]
+            elif kind is Atom:
+                try:
+                    column = column_of(g.name)
+                except ValueError:
+                    self.loose.add(g.name)
+                    column = -1
+                key, neg = (OP_ATOM, column, column), False
+            elif kind is Top:
+                key, neg = (OP_ATOM, -1, -1), False
             else:
-                neg = kind is not ModalE and negated[a] and negated[b]
-        elif kind is Atom:
-            column = index.get(g.name, -1)
-            if column < 0:
-                loose.add(g.name)
-            op, neg = (OP_ATOM, column, column), False
-        elif kind is Top:
-            op, neg = (OP_ATOM, -1, -1), False
-        else:
-            raise ValueError("bounded search covers only E/S/A formulas")
-        slot[g] = t
-        ops.append(op)
-        negated.append(neg)
-    if loose:
-        raise ValueError(
-            "formula mentions atoms outside the search valuations: "
-            + ", ".join(sorted(loose))
-        )
-    roots = tuple(map(slot.__getitem__, formulas))
+                raise ValueError("bounded search covers only E/S/A formulas")
+            t = len(negated)
+            slot[g] = s = add(key, t)
+            if s == t:
+                negated.append(neg)
+                if code is not None:
+                    last_reader[a] = last_reader[b] = t
+
+    def program(self, roots) -> Program:
+        """The ops so far as a program with the given root slots; an
+        error, naming every one of them sorted, if some atom had no
+        column."""
+        if self.loose:
+            raise ValueError(
+                "formula mentions atoms outside the search valuations: "
+                + ", ".join(sorted(self.loose))
+            )
+        return _program(tuple(self.slots), self.negated, roots, self.last_reader)
+
+
+def _program(ops, negated, roots, last_reader) -> Program:
+    """A Program of the ops, with each slot freed by its last reader (the
+    last op that reads it, by slot) and a root that no op reads by its own
+    op."""
     for r in roots:
         last_reader.setdefault(r, r)
     frees: list[tuple[int, ...]] = [()] * len(ops)
     for s, t in last_reader.items():
         frees[t] += (s,)
     return Program(
-        ops=tuple(ops),
-        frees=tuple(frees),
-        negated=tuple(negated),
-        roots=roots,
-        stops=tuple(sorted(set(roots))),
+        tuple(ops), tuple(frees), tuple(negated), tuple(roots), tuple(sorted(set(roots)))
     )
+
+
+def compile_program(formulas, atom_order) -> Program:
+    """One op per distinct node of K-free formulas, over the given atom
+    columns, with one root per formula, in the order given.
+
+    This is the bounded search's input check (_Ops.emit): a node outside
+    E/S/A is rejected as soon as the walk meets it, atoms outside
+    `atom_order` after the walk, all of them across the formulas, sorted.
+    """
+    ops = _Ops(atom_order)
+    slot: dict[Formula, int] = {}
+    ops.emit(subformulas(*formulas), slot)
+    return ops.program(tuple(map(slot.__getitem__, formulas)))
+
+
+def compile_instances(template, metas, corpus, atom_order) -> Program:
+    """compile_program of every instance of a template, without building
+    one: a root for each way of putting corpus formulas for the template's
+    leaves `metas`, in itertools.product(corpus, repeat=len(metas)) order.
+
+    The corpus is compiled once, then the template's other nodes are
+    compiled once per substitution, with each of `metas` standing for its
+    corpus formula's slot.  An instance node and the ops already emitted
+    meet by key (_Ops), so the program has one op per distinct node across
+    the instances, as compile_program of the instances has, and the same
+    input check.
+    """
+    ops = _Ops(atom_order)
+    slot: dict[Formula, int] = {}
+    if metas:
+        ops.emit(subformulas(*corpus), slot)
+    corpus_slots = [slot[f] for f in corpus]
+    steps = [g for g in subformulas(template) if g not in metas]
+    roots = []
+    for picks in product(corpus_slots, repeat=len(metas)):
+        slot.update(zip(metas, picks))
+        ops.emit(steps, slot)
+        roots.append(slot[template])
+    return ops.program(roots)
+
+
+def prune(program: Program, keep) -> Program:
+    """The program for its roots at the positions `keep`, in that order:
+    the ops that no kept root reads are dropped, the rest keep their order
+    and are numbered again, and the frees and stops are those of the new
+    ops.  Each kept root's rows in a window are what they were."""
+    ops = program.ops
+    roots = [program.roots[i] for i in keep]
+    top = max(roots, default=-1)
+    needed = bytearray(top + 1)
+    for r in roots:
+        needed[r] = 1
+    for t in range(top, -1, -1):
+        if needed[t]:
+            op, a, b = ops[t]
+            if op != OP_ATOM:
+                needed[a] = needed[b] = 1
+    renumbered = [0] * (top + 1)
+    kept: list[tuple[int, int, int]] = []
+    negated = []
+    last_reader: dict[int, int] = {}
+    for t in compress(range(top + 1), needed):
+        op, a, b = ops[t]
+        u = renumbered[t] = len(kept)
+        if op != OP_ATOM:
+            a, b = renumbered[a], renumbered[b]
+            last_reader[a] = last_reader[b] = u
+        kept.append((op, a, b))
+        negated.append(program.negated[t])
+    return _program(kept, negated, [renumbered[r] for r in roots], last_reader)
 
 
 @cache

@@ -29,9 +29,9 @@ step i -> this step), `necA <i>`, `rs <i>`.  Indices are 1-based and must
 reference earlier steps.  `#` starts a comment, blank lines are ignored,
 and steps must be numbered consecutively from 1.
 
-soundness_sweep closes the loop with the semantics: it instantiates schemas
-over a formula corpus and hands every instance to the bounded countermodel
-search, reporting any falsified instance.
+soundness_sweep closes the loop with the semantics: it searches every
+instance of the schemas over a formula corpus for a countermodel with the
+bounded search, reporting any falsified instance.
 """
 
 from __future__ import annotations
@@ -438,7 +438,9 @@ def schema_instances(schema: AxiomSchema, corpus):
 
     The template is walked once: each of its nodes, children before
     parents, with the positions of its children in that order, builds its
-    part of every instance, as instantiate would.
+    part of every instance, as instantiate would.  The python engine's
+    sweep searches these; the bitslice sweep compiles the same instances
+    without building them (kernels.compile_instances).
     """
     names = schema.metavariables()
     nodes = list(subformulas(schema.template))
@@ -466,32 +468,60 @@ def soundness_sweep(
     """Bounded-search every corpus instantiation of every schema.
 
     A sound schema produces no violation; any countermodel-found verdict is
-    collected with its substitution and witness.  Each schema's instances
-    go to one find_countermodels call, so the bitslice engine walks the
-    windows once per schema, and every verdict equals the instance's own
-    search.  One call per schema rather than one for the whole sweep keeps
-    the slots of a call's shared subformulas alive only for that schema.
+    collected with its substitution and witness, and every verdict equals
+    the instance's own search.  The bitslice engine compiles each schema's
+    instances from its template into one program
+    (kernels.compile_instances) and walks the windows once per schema;
+    only an instance with a countermodel is built, by instantiate, and
+    gets a Verdict, whose witness is re-checked on the formula.  One
+    program per schema rather than one for the whole sweep keeps the
+    slots its instances share alive only for that schema.  The python
+    engine searches the instances of schema_instances, one walk each.
     models_evaluated counts the models each walk evaluated once per walk:
     once per schema on bitslice, where a walk lasts as long as its
     longest-lived instance, and once per instance on python.
     """
-    from .validity import find_countermodels, resolve_engine
+    from . import kernels
+    from .validity import (
+        Verdict,
+        find_countermodels,
+        kernel_walk,
+        resolve_engine,
+        search_bound,
+    )
 
     started = time.perf_counter()
     schemas = list(schemas)
     corpus = tuple(corpus)
     engine = resolve_engine(engine)
+    total, limit = search_bound(spec)
     checked = evaluated = 0
     violations = []
     for schema in schemas:
-        pairs = list(schema_instances(schema, corpus))
-        verdicts = find_countermodels([f for _, f in pairs], spec, engine)
-        counts = [v.stats.models_evaluated for v in verdicts]
-        evaluated += max(counts, default=0) if engine == "bitslice" else sum(counts)
-        checked += len(verdicts)
-        for (substitution, _), verdict in zip(pairs, verdicts):
-            if verdict.status == "countermodel-found":
-                violations.append(SweepViolation(schema.name, substitution, verdict))
+        if engine == "bitslice":
+            begun = time.perf_counter()
+            names = schema.metavariables()
+            metas = [Meta(name) for name in names]
+            program = kernels.compile_instances(schema.template, metas, corpus, spec.atoms)
+            results = kernel_walk(program, spec, limit)
+            elapsed = time.perf_counter() - begun
+            evaluated += max((r[1] for r in results), default=0)
+            checked += len(results)
+            picks = itertools.product(corpus, repeat=len(names))
+            for pick, result in zip(picks, results):
+                if result[2] is not None:  # a countermodel: build the instance
+                    substitution = tuple(zip(names, pick))
+                    instance = instantiate(schema.template, dict(substitution))
+                    verdict = Verdict.of_walk(instance, spec, total, result, elapsed, engine)
+                    violations.append(SweepViolation(schema.name, substitution, verdict))
+        else:
+            pairs = list(schema_instances(schema, corpus))
+            verdicts = find_countermodels([f for _, f in pairs], spec, engine)
+            evaluated += sum(v.stats.models_evaluated for v in verdicts)
+            checked += len(verdicts)
+            for (substitution, _), verdict in zip(pairs, verdicts):
+                if verdict.status == "countermodel-found":
+                    violations.append(SweepViolation(schema.name, substitution, verdict))
     return SweepReport(
         schemas=tuple(s.name for s in schemas),
         corpus=corpus,

@@ -59,10 +59,15 @@ kernel reports each root's rows in a window exactly as a program of that
 formula alone would.  A formula retires at its first falsifying model,
 or at the limit, with the models checked and evaluated at that moment,
 which are the counts its own walk stops with, since its own walk would
-have visited the same windows up to there; the program is then compiled
-again for the formulas still live, so a retired formula costs nothing
-more.  Each verdict, its counts and witness included, therefore equals
-the formula's own search.  The python engine walks once per formula.
+have visited the same windows up to there; the program is then pruned
+to the roots still live (kernels.prune drops the ops no live root reads),
+so a retired formula costs nothing more, and nothing is compiled again.
+Each verdict, its counts and witness included, therefore equals the
+formula's own search.  The walk takes a compiled program, not formulas,
+so proofs.soundness_sweep hands it a schema's instances compiled from the
+template (kernels.compile_instances) and builds a formula, and with
+Verdict.of_walk a verdict, only for an instance with a countermodel.  The
+python engine walks once per formula.
 """
 
 from __future__ import annotations
@@ -305,6 +310,18 @@ class Verdict(Record):
     def valid_up_to(cls, formula, spec, stats) -> "Verdict":
         return cls("valid-up-to-bound", formula, spec, stats)
 
+    @classmethod
+    def of_walk(cls, formula, spec, total, result, elapsed, engine) -> "Verdict":
+        """The verdict of a walk's result for the formula: (models
+        checked, models evaluated, witness or None), in a search space of
+        `total` models, from a search that took `elapsed` seconds."""
+        checked, evaluated, hit = result
+        truncated = hit is None and checked < total
+        stats = SearchStats(checked, truncated, elapsed, engine, evaluated)
+        if hit is None:
+            return cls.valid_up_to(formula, spec, stats)
+        return cls.found(formula, spec, stats, *hit)
+
     def summary(self) -> str:
         """One-line verdict; the wording of the bounded case is fixed."""
         atoms = braced(self.spec.atoms)
@@ -374,36 +391,33 @@ def find_countermodels(
 
     The bitslice engine compiles the formulas into one program and walks
     the windows once for all of them; each formula retires at its own
-    first falsifying model or at the limit, so each verdict, its counts
-    included, equals that formula's own search (module docstring).  The
-    python engine walks once per formula.  Every verdict's elapsed_s is
-    the time of the whole call up to the witness re-checks.
+    first falsifying model or at the limit, and the program is pruned of
+    it, so each verdict, its counts included, equals that formula's own
+    search (module docstring).  The python engine walks once per formula.
+    Every verdict's elapsed_s is the time of the whole call up to the
+    witness re-checks.
     """
     started = time.perf_counter()
     formulas = tuple(formulas)
     program = kernels.compile_program(formulas, spec.atoms)
     engine = resolve_engine(engine)
-    total = spec.total_count()
-    limit = total if spec.limit is None else min(spec.limit, total)
+    total, limit = search_bound(spec)
     if engine == "bitslice":
-        results = _kernel_walk(formulas, program, spec, limit)
+        results = kernel_walk(program, spec, limit)
     else:
         results = [_reference_walk(f, spec, limit) for f in formulas]
     elapsed = time.perf_counter() - started
-    verdicts = []
-    for formula, (checked, evaluated, hit) in zip(formulas, results):
-        stats = SearchStats(
-            models_checked=checked,
-            truncated=hit is None and checked < total,
-            elapsed_s=elapsed,
-            engine=engine,
-            models_evaluated=evaluated,
-        )
-        if hit is None:
-            verdicts.append(Verdict.valid_up_to(formula, spec, stats))
-        else:
-            verdicts.append(Verdict.found(formula, spec, stats, *hit))
-    return verdicts
+    return [
+        Verdict.of_walk(f, spec, total, r, elapsed, engine)
+        for f, r in zip(formulas, results)
+    ]
+
+
+def search_bound(spec: EnumerationSpec) -> tuple[int, int]:
+    """The models of the search space, and how many of them, in
+    enumeration order, a search may check: all, or the limit."""
+    total = spec.total_count()
+    return total, total if spec.limit is None else min(spec.limit, total)
 
 
 _Hit = tuple[ExpertiseModel, str]
@@ -425,22 +439,19 @@ def _reference_walk(formula: Formula, spec: EnumerationSpec, limit: int) -> _Res
     return limit, limit, None
 
 
-def _kernel_walk(
-    formulas: tuple[Formula, ...],
-    program: kernels.Program,
-    spec: EnumerationSpec,
-    limit: int,
+def kernel_walk(
+    program: kernels.Program, spec: EnumerationSpec, limit: int
 ) -> list[_Result]:
-    """(models checked, models evaluated, witness or None) of each
-    formula: each size's shape representatives in rank order, each one's
-    codes in windows in code order, each window evaluated whole by the
-    kernel; positions before `limit` only.  A formula retires at its first
-    falsifying model or at the limit, with the counts of that moment, and
-    the program is recompiled for the formulas still live."""
-    if not formulas:
+    """(models checked, models evaluated, witness or None) of each root of
+    a program compiled over spec.atoms: each size's shape representatives
+    in rank order, each one's codes in windows in code order, each window
+    evaluated whole by the kernel; positions before `limit` only.  A root
+    retires at its first falsifying model or at the limit, with the counts
+    of that moment, and the program is pruned to the roots still live."""
+    if not program.roots:
         return []
-    results: list = [None] * len(formulas)
-    live = list(range(len(formulas)))  # formula of each program root
+    results: list = [None] * len(program.roots)
+    live = list(range(len(program.roots)))  # each current root's first index
     k = len(spec.atoms)
     first = evaluated = 0
     for n in range(1, spec.n_states + 1):
@@ -456,7 +467,7 @@ def _kernel_walk(
                 found = kernels.eval_chunk(program, planes, ends)
                 evaluated += 1 << w
                 if found.count(None) == len(found):
-                    continue  # every live formula holds in the whole window
+                    continue  # every live root holds in the whole window
                 for i, rows in zip(live, found):
                     if rows is None:
                         continue
@@ -469,12 +480,11 @@ def _kernel_walk(
                     model = next(_models(n, spec.atoms, (rgs,), (start + t,)))
                     hit = (model, model.states[state])
                     results[i] = (position + t + 1, evaluated, hit)
-                live = [i for i in live if results[i] is None]
-                if not live:
+                keep = [j for j, i in enumerate(live) if results[i] is None]
+                if not keep:
                     return results
-                program = kernels.compile_program(
-                    [formulas[i] for i in live], spec.atoms
-                )
+                program = kernels.prune(program, keep)
+                live = [live[j] for j in keep]
         first += spec.size_count(n)
     return [r or (limit, evaluated, None) for r in results]
 

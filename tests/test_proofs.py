@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from expertlogic import kernels, proofs
 from expertlogic.formula import TOP, And, Atom, Iff, Imp, ModalA, ModalS, Not, parse, render
 from expertlogic.proofs import (
     Axiom,
@@ -15,6 +16,7 @@ from expertlogic.proofs import (
     E_DISTRIBUTION,
     MAX_TAUT_LETTERS,
     MP,
+    Meta,
     NecA,
     RS,
     SCHEMAS,
@@ -445,6 +447,72 @@ def _single_searches(n, limit):
         for schema in ALL_NINE
         for substitution, instance in schema_instances(schema, corpus_formulas())
     }
+
+
+def _ends(n):
+    """Block ends of every partition of n states into contiguous runs."""
+    return [
+        memoryview(bytes(i for i in range(1, n + 1) if i == n or cuts >> (i - 1) & 1))
+        for cuts in range(1 << (n - 1))
+    ]
+
+
+class TestInstanceProgram:
+    """The bitslice sweep compiles a schema's instances from its template
+    without building them; the program must give each instance the rows
+    that compile_program of the built instances gives."""
+
+    @pytest.mark.parametrize("schema", ALL_NINE, ids=lambda s: s.name)
+    def test_equals_the_program_of_the_built_instances(self, schema):
+        corpus = corpus_formulas()
+        atoms = ("p", "q")
+        metas = [Meta(name) for name in schema.metavariables()]
+        program = kernels.compile_instances(schema.template, metas, corpus, atoms)
+        instances = [f for _, f in schema_instances(schema, corpus)]
+        built = kernels.compile_program(instances, atoms)
+        assert len(program.roots) == len(instances)
+        # one op per distinct node across the instances
+        assert len(program.ops) == len(built.ops)
+        for n in (1, 2, 3):
+            for w in range(n * len(atoms) + 1):
+                for start in range(0, 1 << (n * len(atoms)), 1 << w):
+                    planes = kernels.atom_planes(n, len(atoms), start, w)
+                    for ends in _ends(n):
+                        got = kernels.eval_chunk(program, planes, ends)
+                        want = kernels.eval_chunk(built, planes, ends)
+                        assert got == want, (n, w, start, bytes(ends))
+
+    @pytest.mark.parametrize("engine", ["bitslice", "python"])
+    def test_an_atom_outside_the_spec_is_refused(self, engine):
+        spec = EnumerationSpec(2, ("p",))
+        with pytest.raises(ValueError, match="^formula mentions atoms outside the search valuations: q$"):
+            soundness_sweep([SCHEMAS["T_S"]], corpus_formulas(), spec, engine)
+
+    @pytest.mark.parametrize("engine", ["bitslice", "python"])
+    def test_a_knowledge_formula_is_refused(self, engine):
+        corpus = (parse("p"), parse("K p"))
+        with pytest.raises(ValueError, match="^bounded search covers only E/S/A formulas$"):
+            soundness_sweep([SCHEMAS["K_A"]], corpus, EnumerationSpec(2, ("p",)), engine)
+
+    def test_only_violations_are_built(self, monkeypatch):
+        built = []
+        original = proofs.instantiate
+
+        def counted(template, subst):
+            built.append(template)
+            return original(template, subst)
+
+        def refuse(*args):
+            raise AssertionError("the bitslice sweep built every instance")
+
+        monkeypatch.setattr(proofs, "instantiate", counted)
+        monkeypatch.setattr(proofs, "schema_instances", refuse)
+        spec = EnumerationSpec(2, ("p", "q"))
+        assert soundness_sweep(SCHEMAS.values(), corpus_formulas(), spec).ok
+        assert built == []
+        report = soundness_sweep(ALL_NINE, corpus_formulas(), spec)
+        assert len(built) == len(report.violations) == 45
+        assert built == [E_DISTRIBUTION.template] * 45
 
 
 class TestSweepSearchesEachSchemaOnce:

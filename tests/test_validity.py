@@ -661,6 +661,29 @@ def test_one_search_of_many_formulas_equals_a_search_of_each(window_bits, case):
         kernels.WINDOW_BITS = default
 
 
+@settings(max_examples=60, deadline=None)
+@given(case=formula_lists(), data=st.data())
+def test_a_pruned_program_equals_the_kept_formulas_own(case, data):
+    # the kept roots, in any order and with repeats, keep their rows; the
+    # ops no kept root reads are gone, so the program has one op per
+    # distinct node of the kept formulas, as their own program has
+    fs, spec = case
+    keep = data.draw(st.lists(st.integers(0, len(fs) - 1), max_size=len(fs)))
+    kept = [fs[i] for i in keep]
+    pruned = kernels.prune(kernels.compile_program(fs, spec.atoms), keep)
+    own = kernels.compile_program(kept, spec.atoms)
+    assert len(pruned.ops) == len(own.ops) == len(list(subformulas(*kept)))
+    assert pruned.stops == tuple(sorted(set(pruned.roots)))
+    n, k = spec.n_states, len(spec.atoms)
+    cuts = data.draw(st.integers(0, (1 << (n - 1)) - 1))
+    ends = memoryview(bytes(i for i in range(1, n + 1) if i == n or cuts >> (i - 1) & 1))
+    w = data.draw(st.integers(0, n * k))
+    start = data.draw(st.integers(0, (1 << (n * k - w)) - 1)) << w
+    planes = kernels.atom_planes(n, k, start, w)
+    got = kernels.eval_chunk(pruned, planes, ends)
+    assert got == kernels.eval_chunk(own, planes, ends)
+
+
 class TestManyFormulas:
     def test_one_kernel_walk_for_all_formulas(self, monkeypatch):
         # p fails in the first window and E p at 2 states; the valid
@@ -677,23 +700,31 @@ class TestManyFormulas:
         fs = [parse("p -> S p"), parse("p"), parse("E p"), parse("p -> S p")]
         verdicts = find_countermodels(fs, EnumerationSpec(2, ("p", "q")), "bitslice")
         assert [v.status == "countermodel-found" for v in verdicts] == [False, True, True, False]
-        # the program is recompiled for the formulas still live
+        # the program is pruned to the formulas still live
         assert calls == [4, 3, 2]
         assert [v.stats.models_evaluated for v in verdicts] == [36, 4, 20, 36]
 
     def test_retired_formulas_leave_the_program(self, monkeypatch):
-        compiled = []
-        compile_program = kernels.compile_program
+        compiled, pruned = [], []
+        compile_program, prune = kernels.compile_program, kernels.prune
 
         def counted(formulas, atoms):
             compiled.append(len(formulas))
             return compile_program(formulas, atoms)
 
+        def counted_prune(program, keep):
+            kept = prune(program, keep)
+            pruned.append((len(program.roots), len(kept.roots), len(kept.ops)))
+            return kept
+
         monkeypatch.setattr(kernels, "compile_program", counted)
+        monkeypatch.setattr(kernels, "prune", counted_prune)
         fs = [parse("p"), parse("q"), parse("p -> S p")]
         find_countermodels(fs, EnumerationSpec(3, ("p", "q")), "bitslice")
-        # p and q fail in the first window; p -> S p alone walks on
-        assert compiled == [3, 1]
+        # p and q fail in the first window; p -> S p alone walks on, in a
+        # program pruned of q's op and compiled once
+        assert compiled == [3]
+        assert pruned == [(3, 1, 5)]
 
     @pytest.mark.parametrize("engine", ENGINE_PARAMS)
     def test_no_formulas_is_no_search(self, engine):
