@@ -433,32 +433,6 @@ class SweepReport(Record):
         return doc
 
 
-def schema_instances(schema: AxiomSchema, corpus):
-    """(substitution, instance) pairs over the corpus, in corpus order.
-
-    The template is walked once: each of its nodes, children before
-    parents, with the positions of its children in that order, builds its
-    part of every instance, as instantiate would.  The python engine's
-    sweep searches these; the bitslice sweep compiles the same instances
-    without building them (kernels.compile_instances).
-    """
-    names = schema.metavariables()
-    nodes = list(subformulas(schema.template))
-    position = {g: i for i, g in enumerate(nodes)}
-    steps = [(g, type(g), [position[c] for c in g.children]) for g in nodes]
-    for picks in itertools.product(corpus, repeat=len(names)):
-        subst = dict(zip(names, picks))
-        built = []
-        for g, kind, kids in steps:
-            if kind is Meta:
-                built.append(subst[g.name])
-            elif kids:
-                built.append(kind(*[built[i] for i in kids]))
-            else:
-                built.append(g)
-        yield tuple(subst.items()), built[-1]
-
-
 def soundness_sweep(
     schemas,
     corpus,
@@ -467,61 +441,47 @@ def soundness_sweep(
 ) -> SweepReport:
     """Bounded-search every corpus instantiation of every schema.
 
-    A sound schema produces no violation; any countermodel-found verdict is
-    collected with its substitution and witness, and every verdict equals
-    the instance's own search.  The bitslice engine compiles each schema's
-    instances from its template into one program
-    (kernels.compile_instances) and walks the windows once per schema;
-    only an instance with a countermodel is built, by instantiate, and
-    gets a Verdict, whose witness is re-checked on the formula.  One
-    program per schema rather than one for the whole sweep keeps the
-    slots its instances share alive only for that schema.  The python
-    engine searches the instances of schema_instances, one walk each.
-    models_evaluated counts the models each walk evaluated once per walk:
-    once per schema on bitslice, where a walk lasts as long as its
-    longest-lived instance, and once per instance on python.
+    A sound schema produces no violation; any instance with a countermodel
+    is collected with its substitution and witness, and every verdict
+    equals the instance's own search.  Each schema's instances, one per
+    itertools.product(corpus, repeat=len(metavariables)) pick, are
+    compiled from its template into one program (kernels.compile_instances,
+    the input check on every engine) and searched by one validity.walk,
+    which calls instance(i) to build instance i (instantiate) only on an
+    engine that searches formulas.  Only an instance with a countermodel gets a
+    Verdict, whose witness is re-checked on the formula.  One program per
+    schema rather than one for the whole sweep keeps the slots its
+    instances share alive only for that schema.  models_evaluated sums
+    what each schema's walk evaluated.
     """
     from . import kernels
-    from .validity import (
-        Verdict,
-        find_countermodels,
-        kernel_walk,
-        resolve_engine,
-        search_bound,
-    )
+    from .validity import Verdict, resolve_engine, walk
 
     started = time.perf_counter()
     schemas = list(schemas)
     corpus = tuple(corpus)
     engine = resolve_engine(engine)
-    total, limit = search_bound(spec)
     checked = evaluated = 0
     violations = []
     for schema in schemas:
-        if engine == "bitslice":
-            begun = time.perf_counter()
-            names = schema.metavariables()
-            metas = [Meta(name) for name in names]
-            program = kernels.compile_instances(schema.template, metas, corpus, spec.atoms)
-            results = kernel_walk(program, spec, limit)
-            elapsed = time.perf_counter() - begun
-            evaluated += max((r[1] for r in results), default=0)
-            checked += len(results)
-            picks = itertools.product(corpus, repeat=len(names))
-            for pick, result in zip(picks, results):
-                if result[2] is not None:  # a countermodel: build the instance
-                    substitution = tuple(zip(names, pick))
-                    instance = instantiate(schema.template, dict(substitution))
-                    verdict = Verdict.of_walk(instance, spec, total, result, elapsed, engine)
-                    violations.append(SweepViolation(schema.name, substitution, verdict))
-        else:
-            pairs = list(schema_instances(schema, corpus))
-            verdicts = find_countermodels([f for _, f in pairs], spec, engine)
-            evaluated += sum(v.stats.models_evaluated for v in verdicts)
-            checked += len(verdicts)
-            for (substitution, _), verdict in zip(pairs, verdicts):
-                if verdict.status == "countermodel-found":
-                    violations.append(SweepViolation(schema.name, substitution, verdict))
+        begun = time.perf_counter()
+        names = schema.metavariables()
+        picks = list(itertools.product(corpus, repeat=len(names)))
+        metas = [Meta(name) for name in names]
+        program = kernels.compile_instances(schema.template, metas, corpus, spec.atoms)
+
+        def instance(i):
+            return instantiate(schema.template, dict(zip(names, picks[i])))
+
+        results, models = walk(program, spec, engine, instance)
+        elapsed = time.perf_counter() - begun
+        evaluated += models
+        checked += len(results)
+        for i, result in enumerate(results):
+            if result[2] is not None:  # a countermodel: build the instance
+                verdict = Verdict.of_walk(instance(i), spec, result, elapsed, engine)
+                substitution = tuple(zip(names, picks[i]))
+                violations.append(SweepViolation(schema.name, substitution, verdict))
     return SweepReport(
         schemas=tuple(s.name for s in schemas),
         corpus=corpus,

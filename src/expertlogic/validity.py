@@ -36,15 +36,16 @@ the tests compare the kernel with) is the definition read in order: it
 decodes every model of every size, partition and code one by one
 (_models), cuts the walk after spec.limit models and evaluates each
 through .semantics until one fails, with no kernel function but the
-input check, kernels.compile_program.  'bitslice' (the default) walks
-each size's shape representatives in rank order and, for each, its
-valuation codes in windows of 2^w codes, w = min(n*k, kernels.WINDOW_BITS),
-in code order: that is the enumeration order.  A representative's blocks
-are contiguous, so the kernel takes the partition as its block ends.
-Each window is one kernels.eval_chunk call; the codes where some row of
-the root is clear fail, the least of them is the window's first
-falsifying model and the least clear row its state, and that model is
-mapped back to its position only when there is one.  The walk applies
+input check, kernels.compile_program (kernels.compile_instances for a
+sweep).  'bitslice' (the default) walks each size's shape
+representatives in rank order and, for each, its valuation codes in
+windows of 2^w codes, w = min(n*k, kernels.WINDOW_BITS), in code order:
+that is the enumeration order.  A representative's blocks are
+contiguous, so the kernel takes the partition as its block ends.  Each
+window is one kernels.eval_chunk call; the codes where some row of the
+root is clear fail, the least of them is the window's first falsifying
+model and the least clear row its state, and that model is mapped back
+to its position only when there is one.  The walk applies
 the limit twice: it stops at the first window whose first position is
 at or past it, and it ignores a falsifying model at or past it.  Every
 witness found is re-verified with the literal-clause evaluator before
@@ -52,22 +53,24 @@ the Verdict is built, so a kernel bug cannot produce a bogus
 countermodel.
 
 Many formulas, one walk.  find_countermodels compiles several formulas
-into one program, one root each, and the bitslice walk evaluates each
-window once for all of them.  The windows, their order, the positions
-and the limit depend on the bound alone, never on the formula, and the
-kernel reports each root's rows in a window exactly as a program of that
-formula alone would.  A formula retires at its first falsifying model,
-or at the limit, with the models checked and evaluated at that moment,
-which are the counts its own walk stops with, since its own walk would
-have visited the same windows up to there; the program is then pruned
-to the roots still live (kernels.prune drops the ops no live root reads),
-so a retired formula costs nothing more, and nothing is compiled again.
-Each verdict, its counts and witness included, therefore equals the
-formula's own search.  The walk takes a compiled program, not formulas,
-so proofs.soundness_sweep hands it a schema's instances compiled from the
-template (kernels.compile_instances) and builds a formula, and with
-Verdict.of_walk a verdict, only for an instance with a countermodel.  The
-python engine walks once per formula.
+into one program, one root each, and walk searches every root on the
+engine named; it holds the only test of an engine's name.  The bitslice
+walk evaluates each window once for all the roots.  The windows, their
+order, the positions and the limit depend on the bound alone, never on
+the formula, and the kernel reports each root's rows in a window exactly
+as a program of that formula alone would.  A formula retires at its first
+falsifying model, or at the limit, with the models checked and evaluated
+at that moment, which are the counts its own walk stops with, since its
+own walk would have visited the same windows up to there; the program is
+then pruned to the roots still live (kernels.prune drops the ops no live
+root reads), so a retired formula costs nothing more, and nothing is
+compiled again.  Each verdict, its counts and witness included, therefore
+equals the formula's own search.  The python walk searches each root's
+formula on its own, and asks the caller for it by the root's position.
+So proofs.soundness_sweep hands walk a schema's instances compiled from
+the template (kernels.compile_instances) and a function that builds
+instance i, which only the python walk calls; the sweep builds a Verdict
+(Verdict.of_walk) only for an instance with a countermodel.
 """
 
 from __future__ import annotations
@@ -275,9 +278,9 @@ class Verdict(Record):
     """Outcome of a bounded search, with a re-verified witness if any.
 
     status is 'countermodel-found' or 'valid-up-to-bound'.  Construct through
-    found()/valid_up_to(): found() re-evaluates the formula on the witness
-    with the literal-clause evaluator and refuses to build a Verdict whose
-    witness does not actually falsify the formula.
+    of_walk(), or found() for a witness: found() re-evaluates the formula on
+    the witness with the literal-clause evaluator and refuses to build a
+    Verdict whose witness does not actually falsify the formula.
     """
 
     status: str
@@ -307,19 +310,15 @@ class Verdict(Record):
         return cls("countermodel-found", formula, spec, stats, model, state)
 
     @classmethod
-    def valid_up_to(cls, formula, spec, stats) -> "Verdict":
-        return cls("valid-up-to-bound", formula, spec, stats)
-
-    @classmethod
-    def of_walk(cls, formula, spec, total, result, elapsed, engine) -> "Verdict":
+    def of_walk(cls, formula, spec, result, elapsed, engine) -> "Verdict":
         """The verdict of a walk's result for the formula: (models
-        checked, models evaluated, witness or None), in a search space of
-        `total` models, from a search that took `elapsed` seconds."""
+        checked, models evaluated, witness or None), from a search that
+        took `elapsed` seconds."""
         checked, evaluated, hit = result
-        truncated = hit is None and checked < total
+        truncated = hit is None and checked < spec.total_count()
         stats = SearchStats(checked, truncated, elapsed, engine, evaluated)
         if hit is None:
-            return cls.valid_up_to(formula, spec, stats)
+            return cls("valid-up-to-bound", formula, spec, stats)
         return cls.found(formula, spec, stats, *hit)
 
     def summary(self) -> str:
@@ -387,37 +386,43 @@ def find_countermodel(
 def find_countermodels(
     formulas: Iterable[Formula], spec: EnumerationSpec, engine: str | None = None
 ) -> list[Verdict]:
-    """find_countermodel of each formula, in order, from one search.
-
-    The bitslice engine compiles the formulas into one program and walks
-    the windows once for all of them; each formula retires at its own
-    first falsifying model or at the limit, and the program is pruned of
-    it, so each verdict, its counts included, equals that formula's own
-    search (module docstring).  The python engine walks once per formula.
-    Every verdict's elapsed_s is the time of the whole call up to the
-    witness re-checks.
+    """find_countermodel of each formula, in order, from one walk of their
+    program (walk).  Each verdict, its counts included, equals that
+    formula's own search (module docstring).  Every verdict's elapsed_s is
+    the time of the whole call up to the witness re-checks.
     """
     started = time.perf_counter()
     formulas = tuple(formulas)
     program = kernels.compile_program(formulas, spec.atoms)
     engine = resolve_engine(engine)
-    total, limit = search_bound(spec)
-    if engine == "bitslice":
-        results = kernel_walk(program, spec, limit)
-    else:
-        results = [_reference_walk(f, spec, limit) for f in formulas]
+    results, _ = walk(program, spec, engine, formulas.__getitem__)
     elapsed = time.perf_counter() - started
     return [
-        Verdict.of_walk(f, spec, total, r, elapsed, engine)
+        Verdict.of_walk(f, spec, r, elapsed, engine)
         for f, r in zip(formulas, results)
     ]
 
 
-def search_bound(spec: EnumerationSpec) -> tuple[int, int]:
-    """The models of the search space, and how many of them, in
-    enumeration order, a search may check: all, or the limit."""
+def walk(
+    program: kernels.Program, spec: EnumerationSpec, engine: str, formula_of
+) -> tuple[list[_Result], int]:
+    """(models checked, models evaluated, witness or None) of each root of
+    a program compiled over spec.atoms, searched on the engine named, and
+    the models the call evaluated.
+
+    This is the one place that tells the engines apart.  bitslice walks
+    the program once for all its roots (kernel_walk), and the call
+    evaluates what its longest-lived root did.  python searches
+    formula_of(i), the formula of root i, on its own for each root
+    (_reference_walk), and the call evaluates the sum.  Either walk checks
+    all of the search space, or the first spec.limit models of it.
+    """
     total = spec.total_count()
-    return total, total if spec.limit is None else min(spec.limit, total)
+    limit = total if spec.limit is None else min(spec.limit, total)
+    if engine == "bitslice":
+        return kernel_walk(program, spec, limit)
+    results = [_reference_walk(formula_of(i), spec, limit) for i in range(len(program.roots))]
+    return results, sum(r[1] for r in results)
 
 
 _Hit = tuple[ExpertiseModel, str]
@@ -441,15 +446,16 @@ def _reference_walk(formula: Formula, spec: EnumerationSpec, limit: int) -> _Res
 
 def kernel_walk(
     program: kernels.Program, spec: EnumerationSpec, limit: int
-) -> list[_Result]:
+) -> tuple[list[_Result], int]:
     """(models checked, models evaluated, witness or None) of each root of
-    a program compiled over spec.atoms: each size's shape representatives
-    in rank order, each one's codes in windows in code order, each window
-    evaluated whole by the kernel; positions before `limit` only.  A root
-    retires at its first falsifying model or at the limit, with the counts
-    of that moment, and the program is pruned to the roots still live."""
+    a program compiled over spec.atoms, and the models the walk evaluated:
+    each size's shape representatives in rank order, each one's codes in
+    windows in code order, each window evaluated whole by the kernel;
+    positions before `limit` only.  A root retires at its first falsifying
+    model or at the limit, with the counts of that moment, and the program
+    is pruned to the roots still live; the walk ends with its last root."""
     if not program.roots:
-        return []
+        return [], 0
     results: list = [None] * len(program.roots)
     live = list(range(len(program.roots)))  # each current root's first index
     k = len(spec.atoms)
@@ -462,7 +468,7 @@ def kernel_walk(
             for start in range(0, codes_total, 1 << w):
                 position = first + rank * codes_total + start
                 if position >= limit:
-                    return [r or (limit, evaluated, None) for r in results]
+                    return [r or (limit, evaluated, None) for r in results], evaluated
                 planes = kernels.atom_planes(n, k, start, w)
                 found = kernels.eval_chunk(program, planes, ends)
                 evaluated += 1 << w
@@ -482,11 +488,11 @@ def kernel_walk(
                     results[i] = (position + t + 1, evaluated, hit)
                 keep = [j for j, i in enumerate(live) if results[i] is None]
                 if not keep:
-                    return results
+                    return results, evaluated
                 program = kernels.prune(program, keep)
                 live = [live[j] for j in keep]
         first += spec.size_count(n)
-    return [r or (limit, evaluated, None) for r in results]
+    return [r or (limit, evaluated, None) for r in results], evaluated
 
 
 def check_equivalence(

@@ -2,12 +2,13 @@
 proof files, and the bounded soundness sweep."""
 
 from functools import cache
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expertlogic import kernels, proofs
+from expertlogic import kernels, proofs, validity
 from expertlogic.formula import TOP, And, Atom, Iff, Imp, ModalA, ModalS, Not, parse, render
 from expertlogic.proofs import (
     Axiom,
@@ -31,7 +32,6 @@ from expertlogic.proofs import (
     load_derivation,
     match_schema,
     parse_derivation,
-    schema_instances,
     soundness_sweep,
 )
 from expertlogic.validity import EnumerationSpec, corpus_formulas, find_countermodel
@@ -362,27 +362,46 @@ class TestProofFiles:
         assert err.value.line == 2
 
 
-class TestSchemaInstances:
-    def test_one_metavariable_count(self):
-        corpus = corpus_formulas()
-        assert len(list(schema_instances(SCHEMAS["T_S"], corpus))) == 12
+def _instances(schema, corpus):
+    """(substitution, instance) of each way of putting corpus formulas for
+    the schema's metavariables, by the definition: instantiate over
+    itertools.product(corpus, repeat=len(metavariables))."""
+    names = schema.metavariables()
+    for pick in product(corpus, repeat=len(names)):
+        substitution = tuple(zip(names, pick))
+        yield substitution, instantiate(schema.template, dict(substitution))
 
-    def test_two_metavariable_count(self):
+
+class TestSchemaInstances:
+    # the sweep's instances, seen through its report
+    def test_one_metavariable_count(self):
+        spec = EnumerationSpec(1, ("p", "q"))
+        report = soundness_sweep([SCHEMAS["T_S"]], corpus_formulas(), spec)
+        assert report.instances_checked == 12
+
+    @pytest.mark.parametrize("engine", ["bitslice", "python"])
+    def test_two_metavariable_count(self, engine):
         corpus = corpus_formulas()[:4]
-        got = list(schema_instances(SCHEMAS["K_S"], corpus))
-        assert len(got) == 16
+        spec = EnumerationSpec(2, ("p", "q"))
+        assert soundness_sweep([SCHEMAS["K_S"]], corpus, spec, engine).instances_checked == 16
+        report = soundness_sweep([E_DISTRIBUTION], corpus, spec, engine)
+        assert report.instances_checked == 16
         # first metavariable varies slowest, in corpus order
-        assert [dict(s)["phi"] for s, _ in got[:4]] == [corpus[0]] * 4
+        picks = [
+            tuple(corpus.index(g) for _, g in v.substitution) for v in report.violations
+        ]
+        assert len(picks) > 1 and {phi for phi, _ in picks} != {picks[0][0]}
+        assert picks == sorted(set(picks))
 
     @pytest.mark.parametrize(
         "schema", [*SCHEMAS.values(), E_DISTRIBUTION], ids=lambda s: s.name
     )
     def test_instances_reproduce_via_instantiate(self, schema):
         # nodes are interned, so equal instances are one object
-        pairs = list(schema_instances(schema, corpus_formulas()))
-        assert len(pairs) == 12 ** len(schema.metavariables())
-        for subst, instance in pairs:
-            assert instance is instantiate(schema.template, dict(subst))
+        report = soundness_sweep([schema], corpus_formulas(), EnumerationSpec(2, ("p", "q")))
+        assert report.instances_checked == 12 ** len(schema.metavariables())
+        for v in report.violations:
+            assert v.verdict.formula is instantiate(schema.template, dict(v.substitution))
 
 
 class TestSoundnessSweep:
@@ -445,7 +464,7 @@ def _single_searches(n, limit):
     return {
         (schema.name, substitution): find_countermodel(instance, spec)
         for schema in ALL_NINE
-        for substitution, instance in schema_instances(schema, corpus_formulas())
+        for substitution, instance in _instances(schema, corpus_formulas())
     }
 
 
@@ -468,7 +487,7 @@ class TestInstanceProgram:
         atoms = ("p", "q")
         metas = [Meta(name) for name in schema.metavariables()]
         program = kernels.compile_instances(schema.template, metas, corpus, atoms)
-        instances = [f for _, f in schema_instances(schema, corpus)]
+        instances = [f for _, f in _instances(schema, corpus)]
         built = kernels.compile_program(instances, atoms)
         assert len(program.roots) == len(instances)
         # one op per distinct node across the instances
@@ -502,11 +521,7 @@ class TestInstanceProgram:
             built.append(template)
             return original(template, subst)
 
-        def refuse(*args):
-            raise AssertionError("the bitslice sweep built every instance")
-
         monkeypatch.setattr(proofs, "instantiate", counted)
-        monkeypatch.setattr(proofs, "schema_instances", refuse)
         spec = EnumerationSpec(2, ("p", "q"))
         assert soundness_sweep(SCHEMAS.values(), corpus_formulas(), spec).ok
         assert built == []
@@ -530,7 +545,7 @@ class TestSweepSearchesEachSchemaOnce:
         violations = [
             SweepViolation(schema.name, substitution, verdicts[schema.name, substitution])
             for schema in schemas
-            for substitution, _ in schema_instances(schema, corpus_formulas())
+            for substitution, _ in _instances(schema, corpus_formulas())
             if verdicts[schema.name, substitution].status == "countermodel-found"
         ]
         expected = SweepReport(
@@ -538,7 +553,7 @@ class TestSweepSearchesEachSchemaOnce:
             corpus=corpus_formulas(),
             spec=spec,
             engine="bitslice",
-            instances_checked=sum(1 for s in schemas for _ in schema_instances(s, corpus_formulas())),
+            instances_checked=sum(1 for s in schemas for _ in _instances(s, corpus_formulas())),
             violations=tuple(violations),
         )
         report = soundness_sweep(schemas, corpus_formulas(), spec)
@@ -567,3 +582,51 @@ class TestSweepSearchesEachSchemaOnce:
         for doc, v in zip(report.to_report()["violations"], report.violations):
             assert doc["witness"] == v.verdict.to_report()["witness"]
             assert doc["witness"] == v.verdict.witness_report()
+
+
+def _without_engine(report):
+    doc = report.to_report()
+    del doc["engine"]
+    return doc
+
+
+def _verdicts(report):
+    docs = [v.verdict.to_report() for v in report.violations]
+    for doc in docs:
+        del doc["engine"]
+    return docs
+
+
+class TestEnginesAgreeOnTheSweep:
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("cut", [False, True], ids=["whole", "limit"])
+    def test_python_report_equals_bitslice(self, n, cut):
+        spec = EnumerationSpec(n, ("p", "q"), _limited(n) if cut else None)
+        bitslice = soundness_sweep(ALL_NINE, corpus_formulas(), spec, "bitslice")
+        python = soundness_sweep(ALL_NINE, corpus_formulas(), spec, "python")
+        assert python.engine == "python"
+        # the witnesses included
+        assert _without_engine(python) == _without_engine(bitslice)
+        assert _verdicts(python) == _verdicts(bitslice)
+
+    def test_python_sweep_never_touches_the_kernel_walk(self, monkeypatch):
+        # compile_instances stays: it is the input check on both engines
+        schemas = [SCHEMAS["T_S"], E_DISTRIBUTION]
+        spec = EnumerationSpec(2, ("p", "q"))
+        want = _without_engine(soundness_sweep(schemas, corpus_formulas(), spec))
+        assert want["violations"]
+        for module, name in [
+            (kernels, "eval_chunk"),
+            (kernels, "atom_planes"),
+            (kernels, "prune"),
+            (validity, "kernel_walk"),
+        ]:
+
+            def refuse(*args, name=name):
+                raise AssertionError(f"the python sweep called {name}")
+
+            monkeypatch.setattr(module, name, refuse)
+        report = soundness_sweep(schemas, corpus_formulas(), spec, "python")
+        assert _without_engine(report) == want
+        with pytest.raises(AssertionError, match="the python sweep called"):
+            soundness_sweep(schemas, corpus_formulas(), spec, "bitslice")
