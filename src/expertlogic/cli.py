@@ -59,7 +59,6 @@ if TYPE_CHECKING:  # each command imports the layers it calls
     from .validity import EnumerationSpec
 
 DEFAULT_BOUND = 4
-DEFAULT_ATOM_CAP = 3
 SWEEP_ATOMS = ("p", "q")
 SEARCH_EVALUATED = "the count of models evaluated in reports"
 
@@ -90,15 +89,7 @@ def _search_spec(args, *formulas) -> EnumerationSpec:
 
     atoms = _atoms_option(args)
     if atoms is None:
-        names = set()
-        for f in formulas:
-            names |= atom_names(f)
-        if len(names) > DEFAULT_ATOM_CAP:
-            raise UsageError(
-                f"formula mentions {len(names)} atoms; beyond {DEFAULT_ATOM_CAP} "
-                "the search space must be chosen explicitly with --atoms"
-            )
-        atoms = tuple(sorted(names))
+        atoms = tuple(sorted(set().union(*map(atom_names, formulas))))
     return EnumerationSpec(args.max_states, atoms, args.limit)
 
 
@@ -259,7 +250,7 @@ def cmd_check_proof(args) -> Answer:
 def cmd_soundness_sweep(args) -> Answer:
     from .model import braced
     from .proofs import E_DISTRIBUTION, SCHEMAS, soundness_sweep
-    from .validity import EnumerationSpec, corpus_formulas
+    from .validity import TRUNCATED_NOTE, EnumerationSpec, corpus_formulas
 
     if args.schemas is not None:
         known = {**SCHEMAS, E_DISTRIBUTION.name: E_DISTRIBUTION}
@@ -283,10 +274,11 @@ def cmd_soundness_sweep(args) -> Answer:
     spec = EnumerationSpec(args.max_states, atoms, args.limit)
     report = soundness_sweep(chosen, corpus, spec, args.engine)
     doc = report.to_report(include_timing=args.timings)
+    note = f"; {TRUNCATED_NOTE}" if report.truncated else ""
     lines = [
         f"checked {report.instances_checked} instances of "
         f"{len(report.schemas)} schemas over {len(report.corpus)} corpus "
-        f"formulas (bound: {spec.n_states} states, atoms {braced(spec.atoms)})"
+        f"formulas (bound: {spec.n_states} states, atoms {braced(spec.atoms)}{note})"
     ]
     # the report's rendered formulas, so each is rendered once
     for v in doc["violations"]:

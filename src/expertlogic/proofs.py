@@ -392,6 +392,11 @@ class SweepViolation(Record):
 
 
 class SweepReport(Record):
+    """The outcome of soundness_sweep.  truncated says, as a Verdict's
+    does, that the limit stopped some instance's search before the bound
+    with no countermodel found; the JSON report holds it only when the spec
+    has a limit."""
+
     schemas: tuple[str, ...]
     corpus: tuple[Formula, ...]
     spec: EnumerationSpec
@@ -400,6 +405,7 @@ class SweepReport(Record):
     violations: tuple[SweepViolation, ...] = ()
     elapsed_s: float = 0.0
     models_evaluated: int = 0
+    truncated: bool = False
 
     @property
     def ok(self) -> bool:
@@ -409,10 +415,7 @@ class SweepReport(Record):
         doc = {
             "schemas": list(self.schemas),
             "corpus": [render(f) for f in self.corpus],
-            "bound": {
-                "n_states": self.spec.n_states,
-                "atoms": list(self.spec.atoms),
-            },
+            "bound": self.spec.to_report(),
             "engine": self.engine,
             "instances_checked": self.instances_checked,
             "violations": [
@@ -427,6 +430,8 @@ class SweepReport(Record):
                 for v in self.violations
             ],
         }
+        if self.spec.limit is not None:
+            doc["truncated"] = self.truncated
         if include_timing:
             doc["elapsed_s"] = self.elapsed_s
             doc["models_evaluated"] = self.models_evaluated
@@ -452,7 +457,9 @@ def soundness_sweep(
     Verdict, whose witness is re-checked on the formula.  One program per
     schema rather than one for the whole sweep keeps the slots its
     instances share alive only for that schema.  models_evaluated sums
-    what each schema's walk evaluated.
+    what each schema's walk evaluated; the report is truncated when the
+    limit stopped some instance's walk with no countermodel before the
+    bound.
     """
     from . import kernels
     from .validity import Verdict, resolve_engine, walk
@@ -461,7 +468,9 @@ def soundness_sweep(
     schemas = list(schemas)
     corpus = tuple(corpus)
     engine = resolve_engine(engine)
+    total = spec.total_count()
     checked = evaluated = 0
+    truncated = False
     violations = []
     for schema in schemas:
         begun = time.perf_counter()
@@ -482,6 +491,8 @@ def soundness_sweep(
                 verdict = Verdict.of_walk(instance(i), spec, result, elapsed, engine)
                 substitution = tuple(zip(names, picks[i]))
                 violations.append(SweepViolation(schema.name, substitution, verdict))
+            elif result[0] < total:  # Verdict.of_walk's truncated
+                truncated = True
     return SweepReport(
         schemas=tuple(s.name for s in schemas),
         corpus=corpus,
@@ -491,4 +502,5 @@ def soundness_sweep(
         violations=tuple(violations),
         elapsed_s=time.perf_counter() - started,
         models_evaluated=evaluated,
+        truncated=truncated,
     )

@@ -186,8 +186,49 @@ def _block_ends(rgs: tuple[int, ...]) -> memoryview:
     )
 
 
+# The most kernel calls a bound may plan.  A full window of 2^18 codes took
+# 0.13-0.22 ms for formulas of 5 to 9 ops (2 cores, Python 3.11.7), so the
+# cap is 2-4 minutes of search: 9 states over three atoms plan 16,917 calls
+# (2-4 s), 12 states over three atoms 22.2 million (about an hour).
+MAX_PLANNED_CALLS = 1 << 20
+
+
+def planned_calls(n_states: int, n_atoms: int) -> int:
+    """The kernels.eval_chunk calls of a kernel_walk through sizes
+    1..n_states over n_atoms atoms in which no root fails: p(n) shape
+    representatives of each size n, each walked in
+    2^max(0, n * n_atoms - kernels.WINDOW_BITS) windows.  p(n), the number
+    of _representatives(n), comes from Euler's pentagonal number
+    recurrence without listing the shapes.  The sum stops at the first
+    size where it passes MAX_PLANNED_CALLS, so above the cap it is a lower
+    bound, and a bound of any size is planned in well under a
+    millisecond."""
+    shapes = [1]  # shapes[m] = p(m); p(0) = 1
+    calls = 0
+    for n in range(1, n_states + 1):
+        p, j = 0, 1
+        while (g := j * (3 * j - 1) // 2) <= n:
+            term = shapes[n - g] + (shapes[n - g - j] if g + j <= n else 0)
+            p += term if j % 2 else -term
+            j += 1
+        shapes.append(p)
+        calls += p << max(0, n * n_atoms - kernels.WINDOW_BITS)
+        if calls > MAX_PLANNED_CALLS:
+            break
+    return calls
+
+
 class EnumerationSpec(Record):
-    """Bound for a search: up to n_states states, valuations over atoms."""
+    """Bound for a search: up to n_states states, valuations over atoms,
+    and at most `limit` models decided when a limit is given.
+
+    A bound is admitted when its planned_calls, the kernel calls of a
+    whole walk on the default engine, are at most MAX_PLANNED_CALLS; the
+    limit does not count, since every report gives the whole bound's
+    search space.  So the state count a bound admits depends on its atoms:
+    48, 26, 15, 10, 8, 6 and 5 states for 0 to 6 atoms.  The python engine
+    walks the same bound, far more slowly.
+    """
 
     n_states: int
     atoms: tuple[str, ...]
@@ -196,16 +237,19 @@ class EnumerationSpec(Record):
     def __init__(self, n_states, atoms, limit=None):
         if n_states < 1:
             raise ValueError("need at least one state")
-        if n_states > 12:
-            raise ValueError("bounds beyond 12 states are not tractable here")
         atoms = tuple(atoms)
         if len(set(atoms)) != len(atoms):
             raise ValueError("search atoms must be distinct")
         for a in atoms:
             if not is_atom_name(a):
                 raise ValueError(f"invalid atom name {a!r}")
-        if n_states * len(atoms) > 48:
-            raise ValueError("states x atoms too large to enumerate valuations")
+        calls = planned_calls(n_states, len(atoms))
+        if calls > MAX_PLANNED_CALLS:
+            raise ValueError(
+                f"the bound of {n_states} states over atoms {braced(atoms)} "
+                f"plans at least {calls:,} kernel calls, above the cap of "
+                f"{MAX_PLANNED_CALLS:,}; search fewer states or atoms"
+            )
         if limit is not None and limit < 1:
             raise ValueError("limit must be positive")
         values = self.__dict__
@@ -219,6 +263,10 @@ class EnumerationSpec(Record):
 
     def total_count(self) -> int:
         return sum(self.size_count(n) for n in range(1, self.n_states + 1))
+
+    def to_report(self) -> dict:
+        """The bound as the reports print it."""
+        return {"n_states": self.n_states, "atoms": list(self.atoms)}
 
 
 def _models(
@@ -272,6 +320,10 @@ class SearchStats(Record):
         values["elapsed_s"] = elapsed_s
         values["engine"] = engine
         values["models_evaluated"] = models_evaluated
+
+
+# how a report says that the limit cut its search
+TRUNCATED_NOTE = "search truncated before the bound"
 
 
 class Verdict(Record):
@@ -333,7 +385,7 @@ class Verdict(Record):
                 f"countermodel found: {self.witness_model.n} states, falsified at "
                 f"state {self.witness_state} ({checked}, atoms {atoms})"
             )
-        note = "; search truncated before the bound" if self.stats.truncated else ""
+        note = f"; {TRUNCATED_NOTE}" if self.stats.truncated else ""
         return (
             f"no countermodel with ≤ {self.spec.n_states} states "
             f"(atoms {atoms}; {checked}{note})"
@@ -349,10 +401,7 @@ class Verdict(Record):
         doc = {
             "formula": render(self.formula),
             "status": self.status,
-            "bound": {
-                "n_states": self.spec.n_states,
-                "atoms": list(self.spec.atoms),
-            },
+            "bound": self.spec.to_report(),
             "search_space": self.spec.total_count(),
             "models_checked": self.stats.models_checked,
             "truncated": self.stats.truncated,

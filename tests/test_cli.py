@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -326,10 +327,32 @@ class TestCountermodel:
         assert doc["status"] == "countermodel-found"
         assert doc["witness"]["model"]["valuation"] == {"p": [], "q": ["x0"]}
 
-    def test_too_many_atoms_demand_explicit_bound(self, capsys):
-        code, _, err = run(capsys, "countermodel", "p & q & r & s")
+    def test_four_atoms_need_no_explicit_list(self, capsys):
+        code, out, err = run(capsys, "countermodel", "p & q & r & s")
+        assert code == 1
+        assert "atoms {p, q, r, s}" in out
+        assert err == ""
+
+    @pytest.mark.parametrize(
+        "formula, bound, calls",
+        [
+            ("E p <-> A (S p -> p)", ("--max-states", "12", "--atoms", "p,q,r,s"), "8,240,871"),
+            ("E T", ("--max-states", "1000000000"), "1,091,744"),
+        ],
+    )
+    def test_a_bound_planning_too_many_calls_is_refused(self, capsys, formula, bound, calls):
+        started = time.perf_counter()
+        code, out, err = run(capsys, "countermodel", formula, *bound)
+        assert time.perf_counter() - started < 1.0
         assert code == 2
-        assert "--atoms" in err
+        assert out == ""
+        assert err.startswith(f"error: the bound of {bound[1]} states over atoms {{")
+        assert f"plans at least {calls} kernel calls, above the cap of 1,048,576" in err
+
+    def test_a_bound_planning_few_calls_is_searched(self, capsys):
+        code, out, _ = run(capsys, "countermodel", "p -> S p", "--max-states", "13", "--atoms", "p")
+        assert code == 0
+        assert out.startswith("no countermodel with ≤ 13 states (atoms {p}; checked ")
 
     def test_explicit_atoms_cover_the_formula(self, capsys):
         code, _, err = run(capsys, "countermodel", "p & q", "--atoms", "p")
@@ -552,6 +575,25 @@ class TestSoundnessSweep:
         assert "models_evaluated" not in json.loads(out)
         _, out, _ = run(capsys, *base, "--timings")
         assert json.loads(out)["models_evaluated"] == 9 * 36
+
+    def test_a_sweep_cut_by_the_limit_says_so(self, capsys):
+        # T_S has 12 instances, all valid: each python walk stops at 100 of
+        # the 356 models of 3 states over {p, q}
+        base = ("soundness-sweep", "--schemas", "T_S", "--max-states", "3")
+        docs = {}
+        for engine in ("python", "bitslice"):
+            argv = (*base, "--limit", "100", "--engine", engine)
+            _, out, _ = run(capsys, *argv, "--json", "--timings")
+            docs[engine] = json.loads(out)
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            assert "atoms {p, q}; search truncated before the bound)" in out
+        assert docs["python"]["models_evaluated"] == 12 * 100
+        assert docs["python"]["truncated"] is docs["bitslice"]["truncated"] is True
+        _, out, _ = run(capsys, *base, "--limit", "356", "--json")
+        assert json.loads(out)["truncated"] is False
+        _, out, _ = run(capsys, *base)
+        assert "truncated" not in out
 
     def test_all_schemas_clean_at_small_bound(self, capsys):
         code, out, _ = run(capsys, "soundness-sweep", "--max-states", "2")

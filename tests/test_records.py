@@ -127,8 +127,9 @@ CASES = [
             "violations": (),
             "elapsed_s": 0.125,
             "models_evaluated": 72,
+            "truncated": True,
         },
-        {"violations": (), "elapsed_s": 0.0, "models_evaluated": 0},
+        {"violations": (), "elapsed_s": 0.0, "models_evaluated": 0, "truncated": False},
     ),
 ]
 IDS = [cls.__name__ for cls, _, _ in CASES]

@@ -8,6 +8,7 @@ shows up as a changed witness, not just a changed runtime.
 
 import json
 import random
+import time
 from collections import Counter
 
 import hypothesis.strategies as st
@@ -106,7 +107,7 @@ class TestSpecValidation:
         "kwargs",
         [
             {"n_states": 0, "atoms": ("p",)},
-            {"n_states": 13, "atoms": ("p",)},
+            {"n_states": 12, "atoms": ("p", "q", "r", "s")},
             {"n_states": 2, "atoms": ("p", "p")},
             {"n_states": 2, "atoms": ("P",)},
             {"n_states": 2, "atoms": ("p q",)},
@@ -121,6 +122,55 @@ class TestSpecValidation:
     def test_atoms_are_normalised_to_tuple(self):
         spec = EnumerationSpec(2, ["q", "p"])
         assert spec.atoms == ("q", "p")
+
+
+class TestPlannedCalls:
+    """The one guard on a bound's size: the kernel calls its whole walk
+    plans, at most MAX_PLANNED_CALLS."""
+
+    def test_shapes_are_counted_without_listing_them(self):
+        # with no atoms each shape is one window, so size n adds p(n)
+        for n in range(1, 21):
+            shapes = sum(len(validity._representatives(m)) for m in range(1, n + 1))
+            assert validity.planned_calls(n, 0) == shapes
+
+    def test_refusal_names_the_bound_the_calls_and_the_cap(self):
+        message = (
+            "the bound of 12 states over atoms {p, q, r, s} plans at least "
+            "8,240,871 kernel calls, above the cap of 1,048,576; search fewer "
+            "states or atoms"
+        )
+        with pytest.raises(ValueError) as refused:
+            EnumerationSpec(12, ("p", "q", "r", "s"))
+        assert str(refused.value) == message
+
+    @pytest.mark.parametrize(
+        "n_states, atoms",
+        [(10**9, ()), (12, ("p", "q", "r", "s")), (10**9, ("p", "q", "r", "s", "t", "u"))],
+    )
+    def test_huge_bounds_are_refused_at_once(self, n_states, atoms):
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="plans at least"):
+            EnumerationSpec(n_states, atoms)
+        assert time.perf_counter() - started < 1.0
+
+    def test_thirteen_states_over_one_atom_are_admitted(self):
+        # 372 calls, where the old 12-state rule refused it
+        assert validity.planned_calls(13, 1) == 372
+        verdict = find_countermodel(parse("p -> S p"), EnumerationSpec(13, ("p",)))
+        assert verdict.status == "valid-up-to-bound"
+        assert not verdict.stats.truncated
+
+    def test_largest_admitted_bound_per_atom_count(self):
+        atoms = ("p", "q", "r", "s", "t", "u")
+        for k, n in enumerate([48, 26, 15, 10, 8, 6, 5]):
+            assert EnumerationSpec(n, atoms[:k]).n_states == n
+            with pytest.raises(ValueError, match="plans at least"):
+                EnumerationSpec(n + 1, atoms[:k])
+
+    def test_a_limit_does_not_admit_a_larger_bound(self):
+        with pytest.raises(ValueError, match="plans at least"):
+            EnumerationSpec(12, ("p", "q", "r"), limit=1)
 
 
 class TestSearch:
@@ -600,6 +650,27 @@ def test_window_size_does_not_change_the_report(window_bits, case):
     for doc in reports:
         doc.pop("engine")
     assert reports[0] == reports[1] == reports[2]
+
+
+@pytest.mark.parametrize("window_bits", [kernels.WINDOW_BITS, 3, 6])
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 6), k=st.integers(0, 3))
+def test_the_plan_is_the_calls_of_a_whole_walk(window_bits, n, k):
+    # T holds everywhere, so the walk runs to the bound
+    spec = EnumerationSpec(n, ("p", "q", "r")[:k])
+    calls = []
+    default, eval_chunk = kernels.WINDOW_BITS, kernels.eval_chunk
+
+    def counted(*args):
+        calls.append(1)
+        return eval_chunk(*args)
+
+    kernels.WINDOW_BITS, kernels.eval_chunk = window_bits, counted
+    try:
+        find_countermodel(TOP, spec)
+        assert len(calls) == validity.planned_calls(n, k)
+    finally:
+        kernels.WINDOW_BITS, kernels.eval_chunk = default, eval_chunk
 
 
 @st.composite
