@@ -5,10 +5,11 @@ distinct subformula across all of them, in formula.subformulas order
 (children first), so a subformula that recurs, in one formula or in
 several, is evaluated once.  Op t writes slot t and reads its operands
 from earlier slots by index; each formula's root is the slot of its
-whole, recorded in Program.roots.  The compiler also records, for each
-op, the slots it is the last reader of (a root that no op reads is its
-own last reader), and eval_chunk drops those slots after the op, so only
-the live part of the program holds memory.
+whole, recorded in Program.roots.  The Program constructor works out
+the rest from the ops and roots: each op's polarity (below) and the
+slots it is the last reader of (a root that no op reads is its own last
+reader), which eval_chunk drops after the op, so only the live part of
+the program holds memory.
 
 An op is its key (opcode, a, b), and the compiler gives each distinct
 key one slot.  Nodes are interned, so two keys are equal exactly when
@@ -17,16 +18,17 @@ compile_instances compiles every instance of a proof schema over a
 corpus from the template, each metavariable standing for its corpus
 formula's slot, into the program compile_program would make of the
 instances, without building one of them.  Both walks emit their ops
-through one routine, _Ops.emit.  prune cuts a program down to some of its
-roots: it drops the ops that no kept root reads and numbers the rest
-again, which is what a search does when a formula retires, instead of
-compiling the formulas still live again.
+through one routine, _Ops.emit, which assigns slots and runs the input
+check.  prune cuts a program down to some of its roots: it selects the
+ops that some kept root reads and numbers them again, which is what a
+search does when a formula retires, instead of compiling the formulas
+still live again.
 
 eval_chunk runs the ops up to each root in turn (Program.stops, the
 distinct roots in slot order) and reduces that root there, before its
-slot can be freed.  A root that holds at every state of every model of
-the window comes back as None and keeps no rows; only a root that fails
-somewhere in the window comes back with its rows.  So the many formulas
+slot can be freed.  It returns the rows of the roots that fail somewhere
+in the window, by root slot; a root that holds at every state of every
+model of the window is left out and keeps no rows.  So the many formulas
 of one call cost one pass over the window's ops and memory for the live
 slots only, not a window of rows per formula.
 
@@ -138,33 +140,48 @@ bytes(8 << 20)
 
 class Program(Record):
     """Formulas as (opcode, a, b) ops over the atom columns they were
-    compiled for.
+    compiled for, and roots[i] the slot of formula i (formulas that are
+    equal share one).
 
-    roots[i] is the slot of formula i (formulas that are equal share one),
-    and stops the distinct root slots in ascending order.  negated[t] is
-    op t's polarity: whether slot t holds the complement of op t's value.
-    frees[t] lists the slots whose last reader is op t, a root that no op
-    reads among them at its own op.
+    The constructor keeps what eval_chunk reads besides the fields in the
+    instance's __dict__, where equality and hashing ignore it.  negated[t]
+    is op t's polarity, whether slot t holds the complement of op t's
+    value: ~ flips its operand's, E is never negated, and &, S and A are
+    negated iff every operand is.  frees[t] lists the slots whose last
+    reader is op t, a root that no op reads among them at its own op, and
+    stops the distinct roots in ascending order.
     """
 
     ops: tuple[tuple[int, int, int], ...]
-    frees: tuple[tuple[int, ...], ...]
-    negated: tuple[bool, ...]
     roots: tuple[int, ...]
-    stops: tuple[int, ...]
 
-    def __init__(self, ops, frees, negated, roots, stops):
+    def __init__(self, ops, roots):
+        negated: list[bool] = []
+        last_reader: dict[int, int] = {}
+        for t, (op, a, b) in enumerate(ops):
+            if op == OP_ATOM:
+                negated.append(False)
+                continue
+            if op == OP_NOT:
+                negated.append(not negated[a])
+            else:
+                negated.append(op != OP_E and negated[a] and negated[b])
+            last_reader[a] = last_reader[b] = t
+        for r in roots:
+            last_reader.setdefault(r, r)
+        frees: list[tuple[int, ...]] = [()] * len(ops)
+        for s, t in last_reader.items():
+            frees[t] += (s,)
         values = self.__dict__
         values["ops"] = ops
-        values["frees"] = frees
-        values["negated"] = negated
         values["roots"] = roots
-        values["stops"] = stops
+        values["negated"] = tuple(negated)
+        values["frees"] = tuple(frees)
+        values["stops"] = tuple(sorted(set(roots)))
 
 
 class _Ops:
-    """A program being compiled: the slot of each op key, in slot order,
-    and each op's polarity.
+    """A program being compiled: the slot of each op key, in slot order.
 
     Nodes are interned, so two nodes are equal exactly when they have the
     same type and equal fields; by induction over the children, two nodes
@@ -173,14 +190,12 @@ class _Ops:
     without the node being looked up, or ever built.
     """
 
-    __slots__ = ("atom_order", "loose", "slots", "negated", "last_reader")
+    __slots__ = ("atom_order", "loose", "slots")
 
     def __init__(self, atom_order):
         self.atom_order = atom_order
         self.loose: set[str] = set()
         self.slots: dict[tuple[int, int, int], int] = {}
-        self.negated: list[bool] = []
-        self.last_reader: dict[int, int] = {}
 
     def emit(self, nodes, slot: dict) -> None:
         """Record in `slot` the slot of each of `nodes`, children before
@@ -194,38 +209,25 @@ class _Ops:
         reading column -1, the whole window.
         """
         column_of = self.atom_order.index
-        negated = self.negated
-        last_reader = self.last_reader
-        add = self.slots.setdefault
+        slots = self.slots
+        add = slots.setdefault
         for g in nodes:
             kind = type(g)
             code = _OPCODE.get(kind)
             if code is not None:
-                a, b = slot[g.children[0]], slot[g.children[-1]]
-                key = (code, a, b)
-                # ~ flips its operand's polarity, E is never negated, and
-                # &, S and A are negated iff every operand is
-                if kind is Not:
-                    neg = not negated[a]
-                else:
-                    neg = kind is not ModalE and negated[a] and negated[b]
+                key = (code, slot[g.children[0]], slot[g.children[-1]])
             elif kind is Atom:
                 try:
                     column = column_of(g.name)
                 except ValueError:
                     self.loose.add(g.name)
                     column = -1
-                key, neg = (OP_ATOM, column, column), False
+                key = (OP_ATOM, column, column)
             elif kind is Top:
-                key, neg = (OP_ATOM, -1, -1), False
+                key = (OP_ATOM, -1, -1)
             else:
                 raise ValueError("bounded search covers only E/S/A formulas")
-            t = len(negated)
-            slot[g] = s = add(key, t)
-            if s == t:
-                negated.append(neg)
-                if code is not None:
-                    last_reader[a] = last_reader[b] = t
+            slot[g] = add(key, len(slots))
 
     def program(self, roots) -> Program:
         """The ops so far as a program with the given root slots; an
@@ -236,21 +238,7 @@ class _Ops:
                 "formula mentions atoms outside the search valuations: "
                 + ", ".join(sorted(self.loose))
             )
-        return _program(tuple(self.slots), self.negated, roots, self.last_reader)
-
-
-def _program(ops, negated, roots, last_reader) -> Program:
-    """A Program of the ops, with each slot freed by its last reader (the
-    last op that reads it, by slot) and a root that no op reads by its own
-    op."""
-    for r in roots:
-        last_reader.setdefault(r, r)
-    frees: list[tuple[int, ...]] = [()] * len(ops)
-    for s, t in last_reader.items():
-        frees[t] += (s,)
-    return Program(
-        tuple(ops), tuple(frees), tuple(negated), tuple(roots), tuple(sorted(set(roots)))
-    )
+        return Program(tuple(self.slots), tuple(roots))
 
 
 def compile_program(formulas, atom_order) -> Program:
@@ -295,9 +283,9 @@ def compile_instances(template, metas, corpus, atom_order) -> Program:
 
 def prune(program: Program, keep) -> Program:
     """The program for its roots at the positions `keep`, in that order:
-    the ops that no kept root reads are dropped, the rest keep their order
-    and are numbered again, and the frees and stops are those of the new
-    ops.  Each kept root's rows in a window are what they were."""
+    the ops that no kept root reads are dropped, and the rest keep their
+    order and are numbered again.  Each kept root's rows in a window are
+    what they were."""
     ops = program.ops
     roots = [program.roots[i] for i in keep]
     top = max(roots, default=-1)
@@ -311,17 +299,13 @@ def prune(program: Program, keep) -> Program:
                 needed[a] = needed[b] = 1
     renumbered = [0] * (top + 1)
     kept: list[tuple[int, int, int]] = []
-    negated = []
-    last_reader: dict[int, int] = {}
     for t in compress(range(top + 1), needed):
         op, a, b = ops[t]
-        u = renumbered[t] = len(kept)
+        renumbered[t] = len(kept)
         if op != OP_ATOM:
             a, b = renumbered[a], renumbered[b]
-            last_reader[a] = last_reader[b] = u
         kept.append((op, a, b))
-        negated.append(program.negated[t])
-    return _program(kept, negated, [renumbered[r] for r in roots], last_reader)
+    return Program(tuple(kept), tuple([renumbered[r] for r in roots]))
 
 
 @cache
@@ -352,13 +336,13 @@ def atom_planes(n: int, k: int, start: int, w: int) -> list[int]:
     return [*low[:-1], *high, full]
 
 
-def eval_chunk(program: Program, planes: list[int], ends) -> list:
-    """Each root's rows over one window, in root order: None for a root
-    that holds at every state of every model in the window, else one int
-    per state, or a single row that stands for every state when the root
-    is held as one int.  planes come from atom_planes, ends are the
-    partition's block ends (state i is in the block that ends first past
-    i)."""
+def eval_chunk(program: Program, planes: list[int], ends) -> dict:
+    """{root slot: rows} over one window for the roots that fail at some
+    state of some model in the window, and nothing for a root that holds
+    throughout, so {} when every root does.  rows is one int per state, or
+    a single row that stands for every state when the root is held as one
+    int.  planes come from atom_planes, ends are the partition's block
+    ends (state i is in the block that ends first past i)."""
     n = ends[-1]
     full = planes[-1]
     spans = list(zip([0, *ends], ends))
@@ -367,7 +351,7 @@ def eval_chunk(program: Program, planes: list[int], ends) -> list:
     ops = program.ops
     frees = program.frees
     slots: list = [None] * len(ops)
-    reduced = []
+    failing = {}
     done = 0
     # every op up to the next root, then that root, reduced before its
     # slot can be freed
@@ -417,12 +401,11 @@ def eval_chunk(program: Program, planes: list[int], ends) -> list:
             slots[t] = ext
             for s in frees[t]:
                 slots[s] = None
-        reduced.append(_failing_rows(ext, negated[root], full, spans, n))
+        rows = _failing_rows(ext, negated[root], full, spans, n)
+        if rows is not None:
+            failing[root] = rows
         done = root + 1
-    if program.roots == program.stops:
-        return reduced
-    by_slot = dict(zip(program.stops, reduced))
-    return [by_slot[r] for r in program.roots]
+    return failing
 
 
 def _failing_rows(x, negated: bool, full: int, spans, n: int) -> list[int] | None:

@@ -459,15 +459,24 @@ def soundness_sweep(
     instances share alive only for that schema.  models_evaluated sums
     what each schema's walk evaluated; the report is truncated when the
     limit stopped some instance's walk with no countermodel before the
-    bound.
+    bound.  A kernel call of a schema's walk evaluates each live instance,
+    so the sweep's plan is the bound's planned_calls once per instance.
     """
     from . import kernels
-    from .validity import Verdict, resolve_engine, walk
+    from .model import braced
+    from .validity import Verdict, check_plan, is_truncated, planned_calls
+    from .validity import resolve_engine, walk
 
     started = time.perf_counter()
     schemas = list(schemas)
     corpus = tuple(corpus)
     engine = resolve_engine(engine)
+    instances = sum(len(corpus) ** len(s.metavariables()) for s in schemas)
+    check_plan(
+        f"the sweep of {instances:,} instances at {spec.n_states} states "
+        f"over atoms {braced(spec.atoms)}",
+        planned_calls(spec.n_states, len(spec.atoms)) * instances,
+    )
     total = spec.total_count()
     checked = evaluated = 0
     truncated = False
@@ -491,7 +500,7 @@ def soundness_sweep(
                 verdict = Verdict.of_walk(instance(i), spec, result, elapsed, engine)
                 substitution = tuple(zip(names, picks[i]))
                 violations.append(SweepViolation(schema.name, substitution, verdict))
-            elif result[0] < total:  # Verdict.of_walk's truncated
+            elif is_truncated(result, total):
                 truncated = True
     return SweepReport(
         schemas=tuple(s.name for s in schemas),

@@ -42,15 +42,13 @@ representatives in rank order and, for each, its valuation codes in
 windows of 2^w codes, w = min(n*k, kernels.WINDOW_BITS), in code order:
 that is the enumeration order.  A representative's blocks are
 contiguous, so the kernel takes the partition as its block ends.  Each
-window is one kernels.eval_chunk call; the codes where some row of the
-root is clear fail, the least of them is the window's first falsifying
-model and the least clear row its state, and that model is mapped back
-to its position only when there is one.  The walk applies
-the limit twice: it stops at the first window whose first position is
-at or past it, and it ignores a falsifying model at or past it.  Every
-witness found is re-verified with the literal-clause evaluator before
-the Verdict is built, so a kernel bug cannot produce a bogus
-countermodel.
+window is one kernels.eval_chunk call, which returns the rows of the
+roots that fail in it; a root's least code where some row is clear is
+its first falsifying model there.  The walk applies the limit twice: it
+stops at the first window whose first position is at or past it, and it
+ignores a falsifying model at or past it.  Both walks return the witness
+model alone, and Verdict.of_walk names its state with the literal-clause
+evaluator, so a kernel bug cannot produce a bogus countermodel.
 
 Many formulas, one walk.  find_countermodels compiles several formulas
 into one program, one root each, and walk searches every root on the
@@ -84,7 +82,7 @@ from typing import Iterable, Iterator, Sequence
 from . import kernels
 from .formula import Formula, Iff, Record, is_atom_name, parse, render
 from .model import ExpertiseModel, Mask, Partition, braced, model_to_dict
-from .semantics import extension, holds
+from .semantics import extension
 
 ENGINES = ("bitslice", "python")
 
@@ -218,6 +216,16 @@ def planned_calls(n_states: int, n_atoms: int) -> int:
     return calls
 
 
+def check_plan(search: str, calls: int) -> None:
+    """Refuse a search that plans more than MAX_PLANNED_CALLS kernel
+    calls, with a ValueError that names the search and its plan."""
+    if calls > MAX_PLANNED_CALLS:
+        raise ValueError(
+            f"{search} plans at least {calls:,} kernel calls, above the cap of "
+            f"{MAX_PLANNED_CALLS:,}; search fewer states or atoms"
+        )
+
+
 class EnumerationSpec(Record):
     """Bound for a search: up to n_states states, valuations over atoms,
     and at most `limit` models decided when a limit is given.
@@ -243,13 +251,10 @@ class EnumerationSpec(Record):
         for a in atoms:
             if not is_atom_name(a):
                 raise ValueError(f"invalid atom name {a!r}")
-        calls = planned_calls(n_states, len(atoms))
-        if calls > MAX_PLANNED_CALLS:
-            raise ValueError(
-                f"the bound of {n_states} states over atoms {braced(atoms)} "
-                f"plans at least {calls:,} kernel calls, above the cap of "
-                f"{MAX_PLANNED_CALLS:,}; search fewer states or atoms"
-            )
+        check_plan(
+            f"the bound of {n_states} states over atoms {braced(atoms)}",
+            planned_calls(n_states, len(atoms)),
+        )
         if limit is not None and limit < 1:
             raise ValueError("limit must be positive")
         values = self.__dict__
@@ -326,13 +331,18 @@ class SearchStats(Record):
 TRUNCATED_NOTE = "search truncated before the bound"
 
 
+def is_truncated(result: _Result, total: int) -> bool:
+    """Whether the limit cut a walk's result short of the bound's total."""
+    return result[2] is None and result[0] < total
+
+
 class Verdict(Record):
     """Outcome of a bounded search, with a re-verified witness if any.
 
-    status is 'countermodel-found' or 'valid-up-to-bound'.  Construct through
-    of_walk(), or found() for a witness: found() re-evaluates the formula on
-    the witness with the literal-clause evaluator and refuses to build a
-    Verdict whose witness does not actually falsify the formula.
+    status is 'countermodel-found' or 'valid-up-to-bound'.  Construct
+    through of_walk(), which names the witness state by the literal-clause
+    evaluator and refuses to build a Verdict on a witness model that
+    satisfies the formula at every state.
     """
 
     status: str
@@ -354,24 +364,23 @@ class Verdict(Record):
         values["witness_state"] = witness_state
 
     @classmethod
-    def found(cls, formula, spec, stats, model, state) -> "Verdict":
-        if holds(model, state, formula, mode="literal"):
+    def of_walk(cls, formula, spec, result, elapsed, engine) -> "Verdict":
+        """The verdict of a walk's result for the formula, (models
+        checked, models evaluated, witness model or None), from a search
+        that took `elapsed` seconds: the witness state is the model's least
+        state where the literal clauses make the formula false."""
+        checked, evaluated, model = result
+        truncated = is_truncated(result, spec.total_count())
+        stats = SearchStats(checked, truncated, elapsed, engine, evaluated)
+        if model is None:
+            return cls("valid-up-to-bound", formula, spec, stats)
+        missing = model.full_mask & ~extension(model, formula, mode="literal")
+        if not missing:
             raise RuntimeError(
                 "search returned a witness that does not falsify the formula"
             )
+        state = model.states[(missing & -missing).bit_length() - 1]
         return cls("countermodel-found", formula, spec, stats, model, state)
-
-    @classmethod
-    def of_walk(cls, formula, spec, result, elapsed, engine) -> "Verdict":
-        """The verdict of a walk's result for the formula: (models
-        checked, models evaluated, witness or None), from a search that
-        took `elapsed` seconds."""
-        checked, evaluated, hit = result
-        truncated = hit is None and checked < spec.total_count()
-        stats = SearchStats(checked, truncated, elapsed, engine, evaluated)
-        if hit is None:
-            return cls("valid-up-to-bound", formula, spec, stats)
-        return cls.found(formula, spec, stats, *hit)
 
     def summary(self) -> str:
         """One-line verdict; the wording of the bounded case is fixed."""
@@ -474,8 +483,7 @@ def walk(
     return results, sum(r[1] for r in results)
 
 
-_Hit = tuple[ExpertiseModel, str]
-_Result = tuple[int, int, "_Hit | None"]
+_Result = tuple[int, int, "ExpertiseModel | None"]
 
 
 def _reference_walk(formula: Formula, spec: EnumerationSpec, limit: int) -> _Result:
@@ -486,10 +494,8 @@ def _reference_walk(formula: Formula, spec: EnumerationSpec, limit: int) -> _Res
         _size_models(n, spec.atoms) for n in range(1, spec.n_states + 1)
     )
     for checked, model in enumerate(islice(models, limit), 1):
-        missing = model.full_mask & ~extension(model, formula)
-        if missing:
-            state = model.states[(missing & -missing).bit_length() - 1]
-            return checked, checked, (model, state)
+        if extension(model, formula) != model.full_mask:
+            return checked, checked, model
     return limit, limit, None
 
 
@@ -519,11 +525,12 @@ def kernel_walk(
                 if position >= limit:
                     return [r or (limit, evaluated, None) for r in results], evaluated
                 planes = kernels.atom_planes(n, k, start, w)
-                found = kernels.eval_chunk(program, planes, ends)
+                failing = kernels.eval_chunk(program, planes, ends)
                 evaluated += 1 << w
-                if found.count(None) == len(found):
+                if not failing:
                     continue  # every live root holds in the whole window
-                for i, rows in zip(live, found):
+                for i, root in zip(live, program.roots):
+                    rows = failing.get(root)
                     if rows is None:
                         continue
                     fails = planes[-1] ^ reduce(and_, rows)
@@ -531,10 +538,8 @@ def kernel_walk(
                     if position + t >= limit:
                         results[i] = (limit, evaluated, None)
                         continue
-                    state = next(s for s, r in enumerate(rows) if not r >> t & 1)
                     model = next(_models(n, spec.atoms, (rgs,), (start + t,)))
-                    hit = (model, model.states[state])
-                    results[i] = (position + t + 1, evaluated, hit)
+                    results[i] = (position + t + 1, evaluated, model)
                 keep = [j for j, i in enumerate(live) if results[i] is None]
                 if not keep:
                     return results, evaluated

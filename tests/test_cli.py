@@ -426,11 +426,12 @@ class TestCountermodel:
     def test_kernel_fault_is_an_internal_error(self, capsys, monkeypatch):
         # a kernel that clears state x0 in every model reports a witness the
         # literal re-check refutes: a fault of the program, not of the input.
-        # A root that holds in the whole window comes back as None, which
-        # stands for every state's row being the whole window.
+        # A root that holds in the whole window is left out, which stands
+        # for every state's row being the whole window.
         def faulty(program, planes, ends):
+            failing = eval_chunk(program, planes, ends)
             whole = [planes[-1]] * ends[-1]
-            return [[0, *(rows or whole)[1:]] for rows in eval_chunk(program, planes, ends)]
+            return {r: [0, *failing.get(r, whole)[1:]] for r in program.roots}
 
         monkeypatch.setattr(kernels, "eval_chunk", faulty)
         code, out, err = run(capsys, "countermodel", "p -> S p")
@@ -567,6 +568,28 @@ class TestSoundnessSweep:
         assert code == 2
         assert out == ""
         assert err == f"error: --atoms {atoms!r} leaves out corpus atoms: {missing}\n"
+
+    def test_a_sweep_planning_too_many_calls_is_refused(self, capsys):
+        # one kernel call of a schema's walk evaluates each of its
+        # instances, so the plan is 6,088 calls per instance at 12 states
+        # over {p, q}, 2,191,680 for the default 360 instances
+        started = time.perf_counter()
+        code, out, err = run(capsys, "soundness-sweep", "--max-states", "12")
+        assert time.perf_counter() - started < 1.0
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: the sweep of 360 instances at 12 states over atoms {p, q} "
+            "plans at least 2,191,680 kernel calls, above the cap of 1,048,576; "
+            "search fewer states or atoms\n"
+        )
+
+    def test_a_sweep_planning_few_calls_runs(self, capsys):
+        # 1,160 calls per instance at 11 states, 417,600 in all
+        code, out, _ = run(capsys, "soundness-sweep", "--max-states", "11", "--limit", "1")
+        assert code == 0
+        assert out.startswith("checked 360 instances of 8 schemas")
+        assert out.endswith("no violations\n")
 
     def test_timings_count_each_walk_once(self, capsys):
         # nine schemas, one walk each, 36 codes per walk at 2 states

@@ -129,8 +129,9 @@ def test_shared_formula_compiles_to_one_op_per_node():
         start = rng.randrange(1 << 32) << 6
         t = rng.randrange(64)
         planes = atom_planes(2, len(SHARED_ATOMS), start, 6)
-        # None: the formula holds at both states of every model of the window
-        rows = eval_chunk(prog, planes, (2,))[0] or [planes[-1]]
+        # left out: the formula holds at both states of every model of the
+        # window
+        rows = eval_chunk(prog, planes, (2,)).get(prog.roots[0], [planes[-1]])
         code = start + t
         model = ExpertiseModel(
             ("x0", "x1"),

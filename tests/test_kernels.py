@@ -4,8 +4,11 @@ eval_chunk must agree bit for bit with the pure-Python evaluators in
 semantics on every model it can express: bit t of row i is state i under
 the partition with the given block ends and the valuation code start + t,
 where atom j's extension is bits [j*n, (j+1)*n) of the code.  A root that
-is the same at every state comes back as a single row.
+is the same at every state comes back as a single row, and a root that
+holds throughout the window does not come back.
 """
+
+import pickle
 
 import hypothesis.strategies as st
 import pytest
@@ -88,11 +91,13 @@ def _extension_at(rows, t):
 
 def _run(prog, n, k, ends, start, w):
     """The rows of the program's one root; a root that holds in the whole
-    window comes back from the kernel as None, read here as one row that
+    window is missing from the kernel's result, read here as one row that
     is the whole window at every state."""
     planes = atom_planes(n, k, start, w)
-    [rows] = eval_chunk(prog, planes, ends)
-    return [planes[-1]] if rows is None else rows
+    [root] = prog.roots
+    failing = eval_chunk(prog, planes, ends)
+    assert failing.keys() <= {root}
+    return failing.get(root, [planes[-1]])
 
 
 class TestCompile:
@@ -143,6 +148,16 @@ class TestCompile:
     def test_schema_metavariable_rejected(self):
         with pytest.raises(ValueError, match="E/S/A"):
             compile_program([And(Atom("p"), PHI)], ("p",))
+
+    def test_a_copy_keeps_what_the_kernel_reads(self):
+        # negated, frees and stops are not fields, yet a copied program
+        # must still run
+        prog = compile_program([parse("p -> S p"), parse("E q")], ("p", "q"))
+        twin = pickle.loads(pickle.dumps(prog))
+        for name in ("negated", "frees", "stops"):
+            assert getattr(twin, name) == getattr(prog, name)
+        planes = atom_planes(2, 2, 0, 4)
+        assert eval_chunk(twin, planes, (2,)) == eval_chunk(prog, planes, (2,))
 
     def test_s_and_e_are_distinct_opcodes(self):
         prog = compile_program([parse("E S p")], ("p",))
@@ -299,15 +314,21 @@ def windows(draw):
 
 @given(st.lists(formulas(ATOMS, with_k=False), min_size=1, max_size=4), windows())
 def test_each_root_of_a_shared_program_gets_its_own_rows(fs, window):
-    """One program for several formulas gives each root the rows, or the
-    None, that the formula's own program gives; the list also repeats a
-    formula and adds two of its subformulas after it, so roots share
-    slots and come out of slot order."""
+    """One program for several formulas gives each root the rows that the
+    formula's own program gives, or leaves it out as that program does;
+    the list also repeats a formula and adds two of its subformulas after
+    it, so roots share slots and come out of slot order."""
     n, ends, start, w, _ = window
     fs = [*fs, fs[0], *list(subformulas(fs[0]))[:2]]
     planes = atom_planes(n, len(ATOMS), start, w)
-    together = eval_chunk(compile_program(fs, ATOMS), planes, ends)
-    alone = [eval_chunk(compile_program([f], ATOMS), planes, ends)[0] for f in fs]
+    prog = compile_program(fs, ATOMS)
+    failing = eval_chunk(prog, planes, ends)
+    assert failing.keys() <= set(prog.roots)
+    together = [failing.get(r) for r in prog.roots]
+    alone = []
+    for f in fs:
+        own = compile_program([f], ATOMS)
+        alone.append(eval_chunk(own, planes, ends).get(own.roots[0]))
     assert together == alone
 
 

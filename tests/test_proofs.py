@@ -499,7 +499,9 @@ class TestInstanceProgram:
                     for ends in _ends(n):
                         got = kernels.eval_chunk(program, planes, ends)
                         want = kernels.eval_chunk(built, planes, ends)
-                        assert got == want, (n, w, start, bytes(ends))
+                        assert [got.get(r) for r in program.roots] == [
+                            want.get(r) for r in built.roots
+                        ], (n, w, start, bytes(ends))
 
     @pytest.mark.parametrize("engine", ["bitslice", "python"])
     def test_an_atom_outside_the_spec_is_refused(self, engine):

@@ -75,7 +75,7 @@ CASES = [
     ),
     (
         Program,
-        {"ops": ((0, 0, 0),), "frees": ((0,),), "negated": (False,), "roots": (0,), "stops": (0,)},
+        {"ops": ((0, 0, 0),), "roots": (0,)},
         {},
     ),
     (EnumerationSpec, {"n_states": 3, "atoms": ("p", "q"), "limit": 10}, {"limit": None}),

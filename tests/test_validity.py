@@ -16,13 +16,12 @@ import pytest
 from hypothesis import given, settings
 
 from expertlogic import kernels, validity
-from expertlogic.formula import TOP, Atom, ModalA, ModalE, parse, render, subformulas
+from expertlogic.formula import TOP, Atom, ModalA, ModalE, Or, parse, render, subformulas
 from expertlogic.model import Partition, model_to_dict
 from expertlogic.semantics import extension
 from expertlogic.validity import (
     ENGINES,
     EnumerationSpec,
-    SearchStats,
     Verdict,
     bell_number,
     blocks_from_rgs,
@@ -391,7 +390,7 @@ class TestSearch:
 
         def guarded(program, planes, ends):
             found = eval_chunk(program, planes, ends)
-            rows = [v for root in found if root is not None for v in root]
+            rows = [v for root in found.values() for v in root]
             widths.append(max(v.bit_length() for v in (*planes, *rows)))
             return found
 
@@ -432,9 +431,11 @@ class TestSearch:
         # 3-state partitions over {p, q}
         evaluated = []
 
-        def counted(model, formula):
-            evaluated.append(model)
-            return extension(model, formula)
+        def counted(model, formula, **mode):
+            # the walk's own calls; the witness re-check passes a mode
+            if not mode:
+                evaluated.append(model)
+            return extension(model, formula, **mode)
 
         monkeypatch.setattr(validity, "extension", counted)
         for text, limit, checked in (
@@ -557,14 +558,11 @@ class TestSearchInputs:
 
 
 class TestVerdict:
-    def _stats(self):
-        return SearchStats(models_checked=1, truncated=False, elapsed_s=0.5, engine="python")
-
-    def test_found_self_check_rejects_non_witness(self):
+    def test_self_check_rejects_non_witness(self):
         model = next(iter(enumerate_models(EnumerationSpec(1, ("p",)))))
         taut = parse("p | ~p")
         with pytest.raises(RuntimeError, match="does not falsify"):
-            Verdict.found(taut, EnumerationSpec(1, ("p",)), self._stats(), model, "x0")
+            Verdict.of_walk(taut, EnumerationSpec(1, ("p",)), (1, 1, model), 0.5, "python")
 
     def test_summary_wording_is_fixed(self):
         verdict = find_countermodel(parse("p -> S p"), EnumerationSpec(4, ("p",)), "python")
@@ -629,6 +627,24 @@ def test_engines_give_equal_reports(case):
         assert doc.pop("engine") == engine
         reports.append(doc)
     assert reports[0] == reports[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(searches())
+def test_the_witness_state_is_the_least_the_literal_clauses_falsify(case):
+    # on both engines, whether or not the limit cuts the search.  The
+    # first countermodel of most formulas has one state; no model of one
+    # state falsifies A p | A ~p | f, so its witnesses have two or more
+    f, spec = case
+    for g in (f, Or(parse("A p | A ~p"), f)):
+        for engine in ENGINES:
+            verdict = find_countermodel(g, spec, engine)
+            if verdict.witness_model is None:
+                continue
+            model = verdict.witness_model
+            ext = extension(model, g, mode="literal")
+            falsified = [s for i, s in enumerate(model.states) if not ext >> i & 1]
+            assert verdict.witness_state == falsified[0]
 
 
 @pytest.mark.parametrize("window_bits", [3, 6])
@@ -752,7 +768,8 @@ def test_a_pruned_program_equals_the_kept_formulas_own(case, data):
     start = data.draw(st.integers(0, (1 << (n * k - w)) - 1)) << w
     planes = kernels.atom_planes(n, k, start, w)
     got = kernels.eval_chunk(pruned, planes, ends)
-    assert got == kernels.eval_chunk(own, planes, ends)
+    want = kernels.eval_chunk(own, planes, ends)
+    assert [got.get(r) for r in pruned.roots] == [want.get(r) for r in own.roots]
 
 
 class TestManyFormulas:
@@ -812,8 +829,13 @@ class TestManyFormulas:
         eval_chunk = kernels.eval_chunk
 
         def faulty(program, planes, ends):
-            found = eval_chunk(program, planes, ends)
-            return [found[0], *([[0]] * (len(found) - 1))]
+            # every root but the first fails at every state
+            failing = eval_chunk(program, planes, ends)
+            first = program.roots[0]
+            faked = dict.fromkeys(program.roots[1:], [0])
+            if first in failing:
+                faked[first] = failing[first]
+            return faked
 
         monkeypatch.setattr(kernels, "eval_chunk", faulty)
         fs = [parse("p"), parse("p -> S p")]
