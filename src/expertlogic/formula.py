@@ -13,9 +13,19 @@ holds a formula)::
     atom    := /[a-z][a-z0-9_]*/
 
 Unary operators bind tightest, then '&', then '|', then '->', then '<->'.
-Whitespace is insignificant between tokens.  An unknown capital letter in
-operator position ('B p') raises UnknownOperatorError rather than a generic
-syntax error.
+Whitespace is insignificant between tokens.
+
+parse() splits the text into tokens with one regex scan (one findall),
+looks each token's kind up in a table, and reads the tokens in one
+operator-precedence loop over explicit stacks.  Malformed text raises
+FormulaSyntaxError, whose message ends in the 1-based column of the
+offending token (its .position is the 0-based offset, after any whitespace
+before the token; the end of input is at len(text)).  A character that
+starts no token is reported before any grammar error, wherever the latter
+comes: 'p q $' fails at the '$', not at the 'q'.  Only ASCII a-z start an
+atom, and a capital letter that is no operator ('B p', 'É') raises
+UnknownOperatorError rather than a generic syntax error.  Columns are
+worked out only when an error is raised.
 
 Everything is desugared at parse time onto eight core constructors: Top
 (the constant true), Atom, Not, And, ModalE (objective expertise), ModalS
@@ -37,8 +47,8 @@ holds it.  subformulas(f) is the one traversal: an explicit-stack loop that
 yields each distinct node of f once, children before parents and left
 before right.  Every other walk (the renderer, the structural helpers, the
 translations, and the evaluators and proof checks built on this module) is
-a loop over it that fills a dict keyed by node, and the parser works with
-explicit operator stacks, so no function recurses on a formula's depth.
+a loop over it that fills a dict keyed by node, and the parser's stacks
+are explicit, so no function recurses on a formula's depth.
 
 render() inverts the sugar for F, '|', '->' and '<->' but never for the
 duals, and prints the minimal spacing/parenthesisation used throughout the
@@ -56,29 +66,37 @@ import re
 import threading
 import weakref
 from _weakref import _remove_dead_weakref
-from typing import NamedTuple
+from itertools import islice
 
 # (node type, *fields) -> weak reference to the live node with those fields
 _NODES: dict[tuple, weakref.ref] = {}
 _NODES_LOCK = threading.Lock()
+# what Formula.__new__ calls, bound once: a global name is one lookup
+# where `weakref.ref` or `object.__new__` is two
+_lookup, _allocate, _set_slot = _NODES.get, object.__new__, object.__setattr__
+_weak_ref, _partial = weakref.ref, functools.partial
 
 
-def _forget(key: tuple, ref: weakref.ref) -> None:
+def _forget(
+    key: tuple, ref: weakref.ref, _remove=_remove_dead_weakref, _nodes=_NODES
+) -> None:
     """Called when a node dies: drop its entry unless a new node took the key.
 
     _remove_dead_weakref deletes the entry only while it is a dead
-    reference, in one step, so it needs no lock.
+    reference, in one step, so it needs no lock.  Both are bound as
+    defaults, so a node that dies while the interpreter shuts down, after
+    the module's globals are cleared, still finds them.
     """
-    _remove_dead_weakref(_NODES, key)
+    _remove(_nodes, key)
 
 
 class Formula:
     """Base class of the syntax-tree node types.
 
-    A node type lists its fields in __slots__ and is built from them
-    positionally.  `children` is the tuple of fields that are subformulas:
-    all of them, except for leaves (`_leaf`), whose one field is a name.
-    Nodes are immutable and interned.
+    A node type lists its fields, at most two, in __slots__ and is built
+    from them positionally.  `children` is the tuple of fields that are
+    subformulas: all of them, except for leaves (`_leaf`), whose one field
+    is a name.  Nodes are immutable and interned.
     """
 
     __slots__ = ("children", "__weakref__")
@@ -86,24 +104,32 @@ class Formula:
 
     def __new__(cls, *fields):
         key = (cls, *fields)
-        ref = _NODES.get(key)
-        node = None if ref is None else ref()
-        if node is not None:
-            return node
-        if len(fields) != len(cls.__slots__):
+        ref = _lookup(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        names = cls.__slots__
+        if len(fields) != len(names):
             raise TypeError(
-                f"{cls.__name__} takes {len(cls.__slots__)} argument(s), got {len(fields)}"
+                f"{cls.__name__} takes {len(names)} argument(s), got {len(fields)}"
             )
         with _NODES_LOCK:
             # another thread may have built it since the lookup above
-            ref = _NODES.get(key)
+            ref = _lookup(key)
             node = None if ref is None else ref()
             if node is None:
-                node = object.__new__(cls)
-                for name, value in zip(cls.__slots__, fields):
-                    object.__setattr__(node, name, value)
-                object.__setattr__(node, "children", () if cls._leaf else fields)
-                _NODES[key] = weakref.ref(node, functools.partial(_forget, key))
+                node = _allocate(cls)
+                if cls._leaf:
+                    _set_slot(node, names[0], fields[0])
+                    _set_slot(node, "children", ())
+                else:
+                    _set_slot(node, "children", fields)
+                    if fields:  # one child, or two
+                        _set_slot(node, names[0], fields[0])
+                        if len(fields) == 2:
+                            _set_slot(node, names[1], fields[1])
+                _NODES[key] = _weak_ref(node, _partial(_forget, key))
         return node
 
     def __setattr__(self, name, value):
@@ -294,44 +320,14 @@ class UnknownOperatorError(FormulaSyntaxError):
     """A capital letter other than E, S, A, K, T, F in operator position."""
 
 
-# --- tokenizer ------------------------------------------------------------
+# --- atoms ----------------------------------------------------------------
 
 _TOKEN_ATOM = re.compile(r"[a-z][a-z0-9_]*")
-# one token after optional whitespace; `other` is any character that starts
-# no token, which _tokenize reports as an error
-_TOKEN = re.compile(
-    r"\s*(?:(?P<punct>[()~&|]|->|<->)|(?P<modal>[ESAK]\^?)|(?P<const>[TF])"
-    rf"|(?P<atom>{_TOKEN_ATOM.pattern})|(?P<other>\S))"
-)
 
 
 def is_atom_name(text: str) -> bool:
     """True when `text` is a legal atom token."""
     return _TOKEN_ATOM.fullmatch(text) is not None
-
-
-class _Token(NamedTuple):
-    kind: str  # one of ( ) ~ & | -> <-> modal const atom eof
-    text: str
-    pos: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        c = m[kind]
-        pos = m.end() - len(c)
-        if kind == "other":
-            if c in "-<":
-                arrow = "->" if c == "-" else "<->"
-                raise FormulaSyntaxError(f"expected {arrow!r}", pos)
-            if c.isupper():
-                raise UnknownOperatorError(f"unknown operator {c!r}", pos)
-            raise FormulaSyntaxError(f"unexpected character {c!r}", pos)
-        tokens.append(_Token(c if kind == "punct" else kind, c, pos))
-    tokens.append(_Token("eof", "", len(text)))
-    return tokens
 
 
 # --- infix connectives -------------------------------------------------------
@@ -382,75 +378,123 @@ _UNARY, _LEAF = 5, 6
 
 # --- parser ---------------------------------------------------------------
 
-def _apply_prefixes(operands: list[Formula], pending: list[_Token]) -> None:
-    """Apply the unary operators waiting directly before the last operand."""
-    while pending and pending[-1].kind in ("~", "modal"):
-        tok = pending.pop()
-        f = operands[-1]
-        if tok.kind == "~":
-            f = Not(f)
-        else:
-            ctor = _OPERATOR_LETTERS[tok.text[0]]
-            f = Not(ctor(Not(f))) if tok.text.endswith("^") else ctor(f)
-        operands[-1] = f
+# one token after optional whitespace: a connective or parenthesis, an
+# operator letter with its optional dual mark, a constant, an atom, or any
+# other character, which starts no token
+_SCAN = re.compile(rf"\s*(<->|->|[()~&|]|[ESAK]\^?|[TF]|{_TOKEN_ATOM.pattern}|\S)")
 
 
-def _reduce(operands: list[Formula], pending: list[_Token], strength: int) -> None:
-    """Apply the waiting infix connectives that bind at least this tightly."""
-    while pending and pending[-1].kind in _INFIX and _INFIX[pending[-1].kind][0] >= strength:
-        right = operands.pop()
-        operands[-1] = _INFIX[pending.pop().kind][2](operands[-1], right)
+def _dual(ctor):
+    return lambda f: Not(ctor(Not(f)))
+
+
+# prefix operator -> the function it applies to its operand
+_PREFIXES = {
+    "~": Not,
+    **_OPERATOR_LETTERS,
+    **{f"{letter}^": _dual(ctor) for letter, ctor in _OPERATOR_LETTERS.items()},
+}
+_CONSTANTS = {"T": TOP, "F": BOT}
+# every token but an atom -> its kind; a token missing here is an atom when
+# it starts with a-z, and otherwise a character that starts no token
+_KINDS = {
+    **dict.fromkeys(_PREFIXES, "prefix"),
+    **dict.fromkeys(_INFIX, "infix"),
+    **dict.fromkeys(_CONSTANTS, "constant"),
+    "(": "(",
+    ")": ")",
+}
+
+
+def _error(text: str, tokens: list[str], i: int, message: str) -> FormulaSyntaxError:
+    """The error for `message` at token i, or at the end of input when i is
+    len(tokens).  The tokens before i all start a token, so the first one
+    from i on that does not is the text's first bad character, and its
+    error replaces the message.  Only here are columns worked out."""
+    cls = FormulaSyntaxError
+    for j in range(i, len(tokens)):
+        c = tokens[j]
+        if c not in _KINDS and not "a" <= c[0] <= "z":
+            i = j
+            if c in "-<":
+                message = f"expected {'->' if c == '-' else '<->'!r}"
+            elif c.isupper():
+                cls, message = UnknownOperatorError, f"unknown operator {c!r}"
+            else:
+                message = f"unexpected character {c!r}"
+            break
+    if i == len(tokens):
+        return cls(message, len(text))
+    return cls(message, next(islice(_SCAN.finditer(text), i, None)).start(1))
 
 
 def parse(text: str) -> Formula:
     """Parse concrete syntax into a core tree (all sugar eliminated).
 
-    Operator precedence over explicit stacks: `operands` holds finished
-    subformulas, `pending` the operators and open parentheses not yet
-    applied.
+    One findall splits the text into tokens, and one operator-precedence
+    loop over explicit stacks reads them: `operands` holds finished
+    subformulas, `pending` the prefix operators, infix connectives and open
+    parentheses not yet applied.  On malformed text the first character
+    that starts no token is reported before any grammar error; an unknown
+    capital letter raises UnknownOperatorError.
     """
+    tokens = _SCAN.findall(text)
     operands: list[Formula] = []
-    pending: list[_Token] = []
-    open_parens = 0
+    pending: list[str] = []
+    depth = 0  # the open parentheses in pending
     want_operand = True
-    for tok in _tokenize(text):
-        kind = tok.kind
+    for i, tok in enumerate(tokens):
+        kind = _KINDS.get(tok)
         if want_operand:
-            if kind in ("~", "modal", "("):
-                open_parens += kind == "("
+            if kind == "prefix" or kind == "(":
                 pending.append(tok)
+                depth += kind == "("
                 continue
-            if kind == "atom":
-                operands.append(Atom(tok.text))
-            elif kind == "const":
-                operands.append(TOP if tok.text == "T" else BOT)
-            elif kind == "eof":
-                raise FormulaSyntaxError("unexpected end of input", tok.pos)
+            if kind == "constant":
+                f = _CONSTANTS[tok]
+            elif kind is None and "a" <= tok[0] <= "z":
+                f = Atom(tok)
             else:
-                raise FormulaSyntaxError(f"unexpected {tok.text!r}", tok.pos)
-            _apply_prefixes(operands, pending)
-            want_operand = False
-        elif kind in _INFIX:
-            strength, assoc = _INFIX[kind][:2]
-            _reduce(operands, pending, strength + (assoc != "left"))
-            if assoc is None and pending and pending[-1].kind == kind:
-                raise FormulaSyntaxError(
-                    f"{kind!r} is non-associative, parenthesise one side", tok.pos
+                raise _error(text, tokens, i, f"unexpected {tok!r}")
+        elif kind == "infix":
+            strength, assoc, _, _ = _INFIX[tok]
+            # apply the waiting connectives that bind at least this tightly
+            strength += assoc != "left"
+            while pending and pending[-1] in _INFIX and _INFIX[pending[-1]][0] >= strength:
+                right = operands.pop()
+                operands[-1] = _INFIX[pending.pop()][2](operands[-1], right)
+            if assoc is None and pending and pending[-1] == tok:
+                raise _error(
+                    text, tokens, i, f"{tok!r} is non-associative, parenthesise one side"
                 )
             pending.append(tok)
             want_operand = True
-        elif kind == ")" and open_parens:
-            _reduce(operands, pending, 0)
-            pending.pop()  # the matching '('
-            open_parens -= 1
-            _apply_prefixes(operands, pending)
-        elif open_parens:
-            raise FormulaSyntaxError("expected ')'", tok.pos)
-        elif kind == "eof":
-            _reduce(operands, pending, 0)
-            return operands[0]
+            continue
+        elif kind == ")" and depth:
+            while pending[-1] != "(":
+                right = operands.pop()
+                operands[-1] = _INFIX[pending.pop()][2](operands[-1], right)
+            pending.pop()
+            depth -= 1
+            f = operands.pop()
+        elif depth:
+            raise _error(text, tokens, i, "expected ')'")
         else:
-            raise FormulaSyntaxError(f"unexpected {tok.text!r} after formula", tok.pos)
+            raise _error(text, tokens, i, f"unexpected {tok!r} after formula")
+        # f is a finished operand: apply the prefix operators just before it
+        while pending and (apply := _PREFIXES.get(pending[-1])) is not None:
+            pending.pop()
+            f = apply(f)
+        operands.append(f)
+        want_operand = False
+    if want_operand:
+        raise _error(text, tokens, len(tokens), "unexpected end of input")
+    if depth:
+        raise _error(text, tokens, len(tokens), "expected ')'")
+    while pending:
+        right = operands.pop()
+        operands[-1] = _INFIX[pending.pop()][2](operands[-1], right)
+    return operands[0]
 
 
 # --- renderer ---------------------------------------------------------------

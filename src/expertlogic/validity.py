@@ -46,8 +46,11 @@ window is one kernels.eval_chunk call, which returns the rows of the
 roots that fail in it; a root's least code where some row is clear is
 its first falsifying model there.  The walk applies the limit twice: it
 stops at the first window whose first position is at or past it, and it
-ignores a falsifying model at or past it.  Both walks return the witness
-model alone, and Verdict.of_walk names its state with the literal-clause
+ignores a falsifying model at or past it.  The bitslice walk builds its
+witness from parts made once per process: the states of each size and the
+Partition of each shape representative; the python walk builds every
+partition again in each search.  Both walks return the witness model
+alone, and Verdict.of_walk names its state with the literal-clause
 evaluator, so a kernel bug cannot produce a bogus countermodel.
 
 Many formulas, one walk.  find_countermodels compiles several formulas
@@ -184,6 +187,18 @@ def _block_ends(rgs: tuple[int, ...]) -> memoryview:
     )
 
 
+# The parts of a bitslice witness, built once: the states of each size (the
+# python walk's too) and the Partition of each shape representative.
+@cache
+def _states(n: int) -> tuple[str, ...]:
+    return tuple(f"x{i}" for i in range(n))
+
+
+@cache
+def _representative_partition(rgs: tuple[int, ...]) -> Partition:
+    return Partition.from_blocks(blocks_from_rgs(rgs))
+
+
 # The most kernel calls a bound may plan.  A full window of 2^18 codes took
 # 0.13-0.22 ms for formulas of 5 to 9 ops (2 cores, Python 3.11.7), so the
 # cap is 2-4 minutes of search: 9 states over three atoms plan 16,917 calls
@@ -283,15 +298,22 @@ def _models(
     """The models of n states with the given partitions (as restricted
     growth strings) and valuation codes over atoms, partition-major and
     then by code, with one Partition built per partition."""
-    states = tuple(f"x{i}" for i in range(n))
-    full = (1 << n) - 1
+    states = _states(n)
     for rgs in rgss:
         partition = Partition.from_blocks(blocks_from_rgs(rgs))
         for code in codes:
-            valuation = tuple(
-                (atom, (code >> (j * n)) & full) for j, atom in enumerate(atoms)
-            )
-            yield ExpertiseModel(states, partition, valuation)
+            yield _model(states, partition, atoms, code)
+
+
+def _model(
+    states: tuple[str, ...], partition: Partition, atoms: tuple[str, ...], code: int
+) -> ExpertiseModel:
+    """The model of valuation code `code` over atoms: atom j holds at the
+    states of bits [j*n, (j+1)*n) of the code."""
+    n = len(states)
+    full = (1 << n) - 1
+    valuation = tuple((atom, (code >> (j * n)) & full) for j, atom in enumerate(atoms))
+    return ExpertiseModel(states, partition, valuation)
 
 
 def _size_models(n: int, atoms: tuple[str, ...]) -> Iterator[ExpertiseModel]:
@@ -370,10 +392,11 @@ class Verdict(Record):
         that took `elapsed` seconds: the witness state is the model's least
         state where the literal clauses make the formula false."""
         checked, evaluated, model = result
-        truncated = is_truncated(result, spec.total_count())
-        stats = SearchStats(checked, truncated, elapsed, engine, evaluated)
         if model is None:
+            truncated = is_truncated(result, spec.total_count())
+            stats = SearchStats(checked, truncated, elapsed, engine, evaluated)
             return cls("valid-up-to-bound", formula, spec, stats)
+        stats = SearchStats(checked, False, elapsed, engine, evaluated)
         missing = model.full_mask & ~extension(model, formula, mode="literal")
         if not missing:
             raise RuntimeError(
@@ -538,7 +561,9 @@ def kernel_walk(
                     if position + t >= limit:
                         results[i] = (limit, evaluated, None)
                         continue
-                    model = next(_models(n, spec.atoms, (rgs,), (start + t,)))
+                    model = _model(
+                        _states(n), _representative_partition(rgs), spec.atoms, start + t
+                    )
                     results[i] = (position + t + 1, evaluated, model)
                 keep = [j for j, i in enumerate(live) if results[i] is None]
                 if not keep:

@@ -1,13 +1,15 @@
 import pickle
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import expertlogic
 from expertlogic.formula import (
     And,
     Atom,
     BOT,
+    Formula,
     FormulaSyntaxError,
     Iff,
     Imp,
@@ -33,6 +35,36 @@ from expertlogic.formula import (
 from strategies import formulas
 
 p, q, r = Atom("p"), Atom("q"), Atom("r")
+
+# text, error class, message, column: the first character that starts no
+# token is reported before any grammar error, and a column counts from 1 at
+# the offending token, after any whitespace before it
+MALFORMED = [
+    ("", FormulaSyntaxError, "unexpected end of input", 1),
+    ("p &", FormulaSyntaxError, "unexpected end of input", 4),
+    ("& p", FormulaSyntaxError, "unexpected '&'", 1),
+    ("(p", FormulaSyntaxError, "expected ')'", 3),
+    ("p)", FormulaSyntaxError, "unexpected ')' after formula", 2),
+    ("p q", FormulaSyntaxError, "unexpected 'q' after formula", 3),
+    ("~", FormulaSyntaxError, "unexpected end of input", 2),
+    ("p - q", FormulaSyntaxError, "expected '->'", 3),
+    ("p <- q", FormulaSyntaxError, "expected '<->'", 3),
+    ("1p", FormulaSyntaxError, "unexpected character '1'", 1),
+    ("p$", FormulaSyntaxError, "unexpected character '$'", 2),
+    ("p q $", FormulaSyntaxError, "unexpected character '$'", 5),
+    ("p & é", FormulaSyntaxError, "unexpected character 'é'", 5),
+    ("É p", UnknownOperatorError, "unknown operator 'É'", 1),
+    ("   ", FormulaSyntaxError, "unexpected end of input", 4),
+    (
+        "p <-> q <-> r",
+        FormulaSyntaxError,
+        "'<->' is non-associative, parenthesise one side",
+        9,
+    ),
+    ("p )", FormulaSyntaxError, "unexpected ')' after formula", 3),
+]
+# the characters of the grammar, and some that are near misses of it
+FORMULA_ALPHABET = "pqrxyz019_()~&|-<>^ESAKTF \t\néÉB$"
 
 
 class TestParsing:
@@ -76,14 +108,23 @@ class TestParsing:
         assert parse("top") == Atom("top")
         assert atom_names(parse("e & s & a & k & t & f")) == {"e", "s", "a", "k", "t", "f"}
 
-    @pytest.mark.parametrize(
-        "text",
-        ["", "p &", "& p", "(p", "p)", "p q", "~", "p - q", "p <- q", "1p", "p$"],
-    )
-    def test_malformed_input_raises_with_position(self, text):
+    @pytest.mark.parametrize("text,error,message,column", MALFORMED)
+    def test_malformed_input_raises_with_position(self, text, error, message, column):
         with pytest.raises(FormulaSyntaxError) as exc:
             parse(text)
-        assert exc.value.position >= 0
+        assert type(exc.value) is error
+        assert str(exc.value) == f"{message} (column {column})"
+        assert exc.value.position == column - 1
+
+    @given(st.one_of(st.text(), st.text(FORMULA_ALPHABET)))
+    @settings(max_examples=500)
+    def test_any_text_parses_or_fails_cleanly(self, text):
+        try:
+            f = parse(text)
+        except FormulaSyntaxError as e:
+            assert 0 <= e.position <= len(text)
+        else:
+            assert isinstance(f, Formula)
 
     def test_unknown_capital_is_a_distinct_error(self):
         with pytest.raises(UnknownOperatorError):

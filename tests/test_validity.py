@@ -425,6 +425,26 @@ class TestSearch:
         assert verdict.stats.models_checked == 356
         assert len(built) == 1 + 2 + 5
 
+    def test_bitslice_engine_builds_a_witness_partition_once(self, monkeypatch):
+        # a witness's Partition is made once per shape representative and
+        # then reused by every search that finds a witness there
+        built = []
+        from_blocks = Partition.from_blocks.__func__
+
+        def counted(cls, blocks):
+            built.append(blocks)
+            return from_blocks(cls, blocks)
+
+        monkeypatch.setattr(Partition, "from_blocks", classmethod(counted))
+        validity._representative_partition.cache_clear()
+        spec = EnumerationSpec(3, ("p", "q"))
+        for _ in range(2):
+            # the witness is at the 3-state partition 001, shape 2 + 1
+            verdict = find_countermodel(parse("A S p | E q | A ~p"), spec, "bitslice")
+            assert verdict.stats.models_checked == 110
+            assert verdict.witness_model.partition.blocks == (0b011, 0b100)
+        assert len(built) == 1
+
     def test_python_engine_evaluates_only_the_models_it_checks(self, monkeypatch):
         # it stops at the first countermodel and at the limit, not at the
         # end of a partition or a size: here both fall inside the five
